@@ -13,7 +13,7 @@
 // in-process SpscRing pair, a UNIX-domain socketpair, a socketpair
 // inherited across fork/exec into a spawned dici_node child (kFork),
 // and a loopback TCP connection to a spawned child (kTcp) — and all
-// four carry identical wire-v2 bytes, so bench_cluster can put a real
+// four carry identical wire-format bytes, so bench_cluster can put a real
 // number on what LinkModel::message_ps simulates, and the SAME test
 // suite runs against threads and against real processes.
 //

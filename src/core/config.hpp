@@ -140,7 +140,7 @@ struct ExperimentConfig {
   /// in-process SpscRing pair, a UNIX-domain socketpair, a socketpair
   /// inherited across fork/exec by a spawned dici_node process (kFork),
   /// or a loopback TCP connection to a spawned process (kTcp). Same
-  /// wire-v2 bytes in all four — the ring is not allowed to pass
+  /// wire-format bytes in all four — the ring is not allowed to pass
   /// pointers, so crossing a process boundary changes nothing above
   /// the transport.
   net::TransportKind transport = net::TransportKind::kRing;

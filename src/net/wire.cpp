@@ -1,36 +1,70 @@
 #include "src/net/wire.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "src/util/assert.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#endif
+
 namespace dici::net {
 namespace {
 
-// Explicit little-endian primitives. memcpy of the integer would be
-// fine on every machine we run today, but the wire format is the one
-// place byte order is a contract, so spell it out once here.
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+// Little-endian primitives. The wire format is little-endian, so on a
+// little-endian host a word (or a whole u32 array) is its own encoding
+// and moves with one memcpy; elsewhere each word is byte-swapped on the
+// way through. std::endian picks the branch at compile time.
+template <typename T>
+T to_le(T v) {
+  static_assert(std::endian::native == std::endian::little ||
+                std::endian::native == std::endian::big);
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 2) return __builtin_bswap16(v);
+    if constexpr (sizeof(T) == 4) return __builtin_bswap32(v);
+    if constexpr (sizeof(T) == 8) return __builtin_bswap64(v);
+  }
+  return v;
+}
+
+/// Store one little-endian word at `at`; returns the byte after it.
+template <typename T>
+std::uint8_t* store(std::uint8_t* at, T v) {
+  v = to_le(v);
+  std::memcpy(at, &v, sizeof(T));
+  return at + sizeof(T);
+}
+
+/// Grow `out` by `bytes` and return where the new bytes start.
+std::uint8_t* extend(std::vector<std::uint8_t>& out, std::size_t bytes) {
+  const std::size_t at = out.size();
+  out.resize(at + bytes);
+  return out.data() + at;
+}
+
+void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
+  out.push_back(v);
 }
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  store(extend(out, sizeof v), v);
 }
 
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  store(extend(out, sizeof v), v);
 }
 
 void put_u32_array(std::vector<std::uint8_t>& out,
                    std::span<const std::uint32_t> values) {
   put_u32(out, static_cast<std::uint32_t>(values.size()));
-  for (std::uint32_t v : values) put_u32(out, v);
+  if (values.empty()) return;
+  std::uint8_t* at = extend(out, values.size_bytes());
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, values.data(), values.size_bytes());
+  } else {
+    for (const std::uint32_t v : values) at = store(at, v);
+  }
 }
 
 /// Sequential bounds-checked reader over a frame payload. Every read_*
@@ -40,51 +74,27 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
 
-  bool read_u8(std::uint8_t* v) {
-    if (pos_ + 1 > bytes_.size()) return fail();
-    *v = bytes_[pos_++];
-    return true;
-  }
-
-  bool read_u16(std::uint16_t* v) {
-    if (pos_ + 2 > bytes_.size()) return fail();
-    *v = static_cast<std::uint16_t>(bytes_[pos_] |
-                                    (std::uint16_t{bytes_[pos_ + 1]} << 8));
-    pos_ += 2;
-    return true;
-  }
-
-  bool read_u32(std::uint32_t* v) {
-    if (pos_ + 4 > bytes_.size()) return fail();
-    std::uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) r |= std::uint32_t{bytes_[pos_ + i]} << (8 * i);
-    pos_ += 4;
-    *v = r;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t* v) {
-    if (pos_ + 8 > bytes_.size()) return fail();
-    std::uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) r |= std::uint64_t{bytes_[pos_ + i]} << (8 * i);
-    pos_ += 8;
-    *v = r;
-    return true;
-  }
+  bool read_u8(std::uint8_t* v) { return read(v); }
+  bool read_u16(std::uint16_t* v) { return read(v); }
+  bool read_u32(std::uint32_t* v) { return read(v); }
+  bool read_u64(std::uint64_t* v) { return read(v); }
 
   /// Length-prefixed u32 array. The count is checked against the bytes
   /// actually remaining BEFORE the vector is sized, so a garbage count
-  /// can't drive a huge allocation.
+  /// can't drive a huge allocation; once it passes, the whole array is
+  /// copied at once.
   bool read_u32_array(std::vector<std::uint32_t>* out) {
     std::uint32_t count = 0;
     if (!read_u32(&count)) return false;
     if (remaining() / 4 < count) return fail();
     out->resize(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      std::uint32_t v = 0;
-      read_u32(&v);
-      (*out)[i] = v;
+    if (count == 0) return true;
+    const std::size_t bytes = std::size_t{count} * 4;
+    std::memcpy(out->data(), bytes_.data() + pos_, bytes);
+    if constexpr (std::endian::native != std::endian::little) {
+      for (std::uint32_t& v : *out) v = to_le(v);
     }
+    pos_ += bytes;
     return true;
   }
 
@@ -93,6 +103,15 @@ class Reader {
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
  private:
+  template <typename T>
+  bool read(T* v) {
+    if (remaining() < sizeof(T)) return fail();
+    std::memcpy(v, bytes_.data() + pos_, sizeof(T));
+    *v = to_le(*v);
+    pos_ += sizeof(T);
+    return true;
+  }
+
   bool fail() {
     ok_ = false;
     return false;
@@ -102,6 +121,65 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// CRC32C (Castagnoli; reflected polynomial 0x82F63B78), the frame
+// payload seal. Both paths take and return the raw register; callers
+// apply the usual ~0 pre- and post-conditioning.
+
+struct Crc32cTables {
+  std::uint32_t t[8][256];
+};
+
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit)
+      crc = (crc >> 1) ^ (0x82F63B78u & (0u - (crc & 1u)));
+    tables.t[0][i] = crc;
+  }
+  for (std::uint32_t i = 0; i < 256; ++i)
+    for (int k = 1; k < 8; ++k)
+      tables.t[k][i] =
+          (tables.t[k - 1][i] >> 8) ^ tables.t[0][tables.t[k - 1][i] & 0xff];
+  return tables;
+}
+
+constexpr Crc32cTables kCrc32c = make_crc32c_tables();
+
+/// Portable slice-by-8: eight table lookups per 8-byte word.
+std::uint32_t crc32c_sliced(std::uint32_t crc, const std::uint8_t* p,
+                            std::size_t n) {
+  const auto& t = kCrc32c.t;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    w = to_le(w) ^ crc;
+    crc = t[7][w & 0xff] ^ t[6][(w >> 8) & 0xff] ^ t[5][(w >> 16) & 0xff] ^
+          t[4][(w >> 24) & 0xff] ^ t[3][(w >> 32) & 0xff] ^
+          t[2][(w >> 40) & 0xff] ^ t[1][(w >> 48) & 0xff] ^ t[0][w >> 56];
+  }
+  for (; n > 0; ++p, --n) crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
+  return crc;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+/// SSE4.2 crc32 instruction, 8 bytes per step. Compiled for SSE4.2 on
+/// this function alone and only called after a CPUID check, so the
+/// binary still runs on CPUs without it.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
+    std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
+  std::uint64_t c = crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    c = _mm_crc32_u64(c, w);
+  }
+  crc = static_cast<std::uint32_t>(c);
+  for (; n > 0; ++p, --n) crc = _mm_crc32_u8(crc, *p);
+  return crc;
+}
+#endif
 
 bool known_type(std::uint16_t type) {
   return type >= static_cast<std::uint16_t>(MsgType::kJoinRequest) &&
@@ -182,29 +260,32 @@ const char* msg_type_name(MsgType type) {
 }
 
 std::uint32_t wire_checksum(std::span<const std::uint8_t> payload) {
-  // FNV-1a 32-bit: tiny, endian-free, and plenty to catch the flipped
-  // bytes a link (or the fault injector) produces.
-  std::uint32_t h = 0x811c9dc5u;
-  for (const std::uint8_t b : payload) {
-    h ^= b;
-    h *= 0x01000193u;
-  }
-  return h;
+  using Crc32c = std::uint32_t (*)(std::uint32_t, const std::uint8_t*,
+                                   std::size_t);
+  static const Crc32c crc32c = [] () -> Crc32c {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    if (__builtin_cpu_supports("sse4.2")) return crc32c_sse42;
+#endif
+    return crc32c_sliced;
+  }();
+  return ~crc32c(~0u, payload.data(), payload.size());
+}
+
+std::uint32_t wire_checksum_portable(std::span<const std::uint8_t> payload) {
+  return ~crc32c_sliced(~0u, payload.data(), payload.size());
 }
 
 void encode_frame_header(const FrameHeader& header, std::uint8_t* out) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kFrameHeaderBytes);
-  put_u32(bytes, header.magic);
-  put_u16(bytes, header.version);
-  put_u16(bytes, header.type);
-  put_u32(bytes, header.src);
-  put_u32(bytes, header.payload_bytes);
-  put_u64(bytes, header.seq);
-  put_u32(bytes, header.epoch);
-  put_u32(bytes, header.checksum);
-  DICI_CHECK(bytes.size() == kFrameHeaderBytes);
-  std::memcpy(out, bytes.data(), kFrameHeaderBytes);
+  std::uint8_t* at = out;
+  at = store(at, header.magic);
+  at = store(at, header.version);
+  at = store(at, header.type);
+  at = store(at, header.src);
+  at = store(at, header.payload_bytes);
+  at = store(at, header.seq);
+  at = store(at, header.epoch);
+  at = store(at, header.checksum);
+  DICI_CHECK(at == out + kFrameHeaderBytes);
 }
 
 bool decode_frame_header(std::span<const std::uint8_t> bytes,
@@ -318,7 +399,7 @@ Frame encode_cluster_info(std::uint32_t src, const ClusterInfoMsg& msg) {
   put_u32(payload, static_cast<std::uint32_t>(msg.nodes.size()));
   for (const ClusterInfoEntry& entry : msg.nodes) {
     put_u32(payload, entry.node_id);
-    payload.push_back(entry.status);
+    put_u8(payload, entry.status);
     put_u32(payload, entry.shards);
   }
   return make_frame(src, MsgType::kClusterInfo, std::move(payload));
@@ -358,7 +439,7 @@ bool decode_heartbeat(const Frame& frame, HeartbeatMsg* msg,
 
 Frame encode_node_config(std::uint32_t src, const NodeConfigMsg& msg) {
   std::vector<std::uint8_t> payload;
-  payload.push_back(msg.kernel);
+  put_u8(payload, msg.kernel);
   put_u32(payload, msg.interleave_width);
   put_u32(payload, msg.heartbeat_interval_ms);
   put_u32(payload, msg.num_nodes);
@@ -384,7 +465,7 @@ Frame encode_build_shard(std::uint32_t src, const BuildShardMsg& msg) {
   put_u32(payload, msg.shard);
   put_u32(payload, msg.global_offset);
   put_u32(payload, msg.chunk);
-  payload.push_back(msg.last ? 1 : 0);
+  put_u8(payload, msg.last ? 1 : 0);
   put_u32_array(payload, msg.keys);
   return make_frame(src, MsgType::kBuildShard, std::move(payload));
 }

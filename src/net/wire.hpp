@@ -2,22 +2,23 @@
 //
 // Everything two cluster nodes say to each other travels as one Frame —
 // a fixed 32-byte header followed by `payload_bytes` of message payload,
-// byte-serialized explicitly (little-endian, no struct memcpy) so the
-// format is stable across compilers and, later, across machines. This
-// is the point where net/link.hpp's LinkModel stops being a model:
-// every byte counted here actually crosses a transport
-// (net/transport.hpp), whether that transport is an in-process ring
-// pair or a UNIX-domain socket.
+// serialized field by field as little-endian words (never a struct
+// memcpy, so padding stays out of the format) so the format is stable
+// across compilers and, later, across machines. This is the point
+// where net/link.hpp's LinkModel stops being a model: every byte
+// counted here actually crosses a transport (net/transport.hpp),
+// whether that transport is an in-process ring pair or a UNIX-domain
+// socket.
 //
 // Decode discipline: a frame arrives from outside the receiver's trust
 // domain, so every decoder is TOTAL — truncated payloads, oversized
-// counts, garbage magic, and future versions are all rejected with a
+// counts, garbage magic, and other versions are all rejected with a
 // diagnostic string, never an out-of-bounds read or an abort
 // (net_wire_test pins each rejection). Encoders are in-process and
 // DICI_CHECK their own invariants instead.
 //
-// v2 (the fault-tolerance PR) adds two header fields:
-//   checksum — FNV-1a over the payload, sealed by make_frame at encode
+// The header carries two fields beyond framing:
+//   checksum — CRC32C over the payload, sealed by make_frame at encode
 //              time and verified by every transport recv. A frame whose
 //              bytes were damaged in flight keeps a VALID header (the
 //              stream stays framed) but fails the checksum, so the
@@ -30,6 +31,12 @@
 //              into everything it sends; a node echoes the newest epoch
 //              it has seen, so a reply from a pre-death incarnation can
 //              never be mistaken for current traffic.
+//
+// Versions: v2 added checksum and epoch, sealed with FNV-1a. v3 keeps
+// every field and offset of v2 and changes only the seal to CRC32C
+// (hardware crc32 where the CPU has SSE4.2, slice-by-8 tables
+// elsewhere); the version bump makes a v2 peer fail at the header with
+// a version diagnostic instead of failing every checksum.
 //
 // Message vocabulary (the pocv2/Pilevisor cluster-port pattern):
 //   control  — kJoinRequest/kJoinAck (the join handshake),
@@ -58,7 +65,7 @@
 namespace dici::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x44494349;  // "DICI"
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 
 /// Hard cap a decoder accepts for one frame's payload. Large enough for
 /// any build chunk or dispatch batch this system sends (encoders chunk
@@ -110,11 +117,16 @@ struct FrameHeader {
 
 inline constexpr std::size_t kFrameHeaderBytes = 32;
 
-/// FNV-1a over a payload — the integrity seal carried in
-/// FrameHeader::checksum. Not cryptographic: the threat model is flipped
-/// bits on a link (or the fault injector imitating them), not an
-/// adversary forging frames.
+/// CRC32C (Castagnoli) over a payload — the integrity seal carried in
+/// FrameHeader::checksum. Uses the SSE4.2 crc32 instruction when the CPU
+/// has it and a slice-by-8 table otherwise; both give the same value.
+/// Not cryptographic: the threat model is flipped bits on a link (or
+/// the fault injector imitating them), not an adversary forging frames.
 std::uint32_t wire_checksum(std::span<const std::uint8_t> payload);
+
+/// The table-driven CRC32C that wire_checksum falls back to, callable
+/// on any CPU so the two paths can be checked against each other.
+std::uint32_t wire_checksum_portable(std::span<const std::uint8_t> payload);
 
 /// One decoded (or to-be-encoded) message: header + raw payload bytes.
 struct Frame {

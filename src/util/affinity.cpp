@@ -65,25 +65,47 @@ class CpuMask {
   int bits_ = 0;
 };
 
+/// The calling thread's current allowed mask, sorted; empty when it
+/// cannot be read.
+std::vector<int> read_thread_cpus() {
+  CpuMask mask;
+  std::vector<int> cpus;
+  if (!mask.read_allowed()) return cpus;
+  for (int cpu = 0; cpu < mask.bits(); ++cpu)
+    if (mask.test(cpu)) cpus.push_back(cpu);
+  return cpus;
+}
+
+/// The calling thread's mask as it stood before this library first
+/// pinned it; empty until then. sched_getaffinity reports the thread's
+/// CURRENT mask, which narrows to the pin target as soon as the thread
+/// pins itself — read afresh, it would forbid a thread pinned to one
+/// NUMA node from ever re-pinning to another. A restriction applied
+/// from outside (taskset, a cgroup cpuset, a restricted parent) is
+/// already in the mask the first pin snapshots, so it still holds.
+thread_local std::vector<int> t_pre_pin_cpus;
+
+const std::vector<int>& pre_pin_cpus() {
+  if (t_pre_pin_cpus.empty()) t_pre_pin_cpus = read_thread_cpus();
+  return t_pre_pin_cpus;
+}
+
+bool pre_pin_allows(int cpu) {
+  const std::vector<int>& cpus = pre_pin_cpus();
+  return std::binary_search(cpus.begin(), cpus.end(), cpu);
+}
+
 }  // namespace
 #endif  // __linux__
 
 std::vector<int> allowed_cpus() {
 #if defined(__linux__)
-  // The calling thread's allowed mask. For a freshly started thread this
-  // is the process mask (taskset / cgroup cpuset restrictions included),
-  // which is exactly the set of legal pin targets.
-  CpuMask mask;
-  if (mask.read_allowed()) {
-    std::vector<int> cpus;
-    for (int cpu = 0; cpu < mask.bits(); ++cpu)
-      if (mask.test(cpu)) cpus.push_back(cpu);
-    if (!cpus.empty()) return cpus;
-  }
+  std::vector<int> cpus =
+      t_pre_pin_cpus.empty() ? read_thread_cpus() : t_pre_pin_cpus;
+  if (!cpus.empty()) return cpus;
   // Query failed: fall back to the online count so callers still get a
   // plausible target list (ids 0..n-1).
   const long n = sysconf(_SC_NPROCESSORS_ONLN);
-  std::vector<int> cpus;
   for (int cpu = 0; cpu < std::max(1L, n); ++cpu) cpus.push_back(cpu);
   return cpus;
 #else
@@ -113,9 +135,7 @@ bool pin_current_thread_to_os_cpu(int os_cpu) {
   // setaffinity REPLACES the mask, and the kernel only checks the
   // cgroup cpuset — so without this guard a stale target would silently
   // WIDEN a taskset-style restriction instead of failing.
-  CpuMask allowed;
-  if (!allowed.read_allowed()) return false;
-  if (!allowed.test(os_cpu)) return false;
+  if (!pre_pin_allows(os_cpu)) return false;
   CpuMask one;
   if (!one.alloc(std::max(os_cpu + 1, CPU_SETSIZE))) return false;
   one.set(os_cpu);
@@ -130,13 +150,13 @@ bool pin_current_thread_to_cpus(std::span<const int> os_cpus) {
 #if defined(__linux__)
   // Intersect with the allowed mask so a stale topology (CPUs since
   // removed from the cpuset) degrades instead of failing or widening.
-  CpuMask allowed;
-  if (!allowed.read_allowed()) return false;
+  const std::vector<int>& allowed = pre_pin_cpus();
+  if (allowed.empty()) return false;
   CpuMask target;
-  if (!target.alloc(allowed.bits())) return false;
+  if (!target.alloc(std::max(allowed.back() + 1, CPU_SETSIZE))) return false;
   int kept = 0;
   for (const int cpu : os_cpus) {
-    if (!allowed.test(cpu)) continue;
+    if (!pre_pin_allows(cpu)) continue;
     target.set(cpu);
     ++kept;
   }

@@ -20,8 +20,12 @@ namespace dici {
 /// population count, not the machine's online count). Always >= 1.
 int available_cpus();
 
-/// The allowed mask as a sorted list of OS CPU ids — the only valid pin
-/// targets. Falls back to {0} on platforms without affinity queries.
+/// The calling thread's allowed mask as a sorted list of OS CPU ids —
+/// the only valid pin targets. Once the thread has pinned itself through
+/// this header, this stays the mask it had before that first pin, so a
+/// pinned thread can re-pin anywhere it was allowed to start with (and
+/// nowhere else). Falls back to {0} on platforms without affinity
+/// queries.
 std::vector<int> allowed_cpus();
 
 /// The pin target `slot` maps to: the allowed CPU at index

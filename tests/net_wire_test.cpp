@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -228,8 +229,33 @@ TEST(Wire, RejectsVersionMismatchNamingBothVersions) {
   std::string error;
   EXPECT_FALSE(decode_frame(bytes, &out, &error));
   EXPECT_NE(error.find("version"), std::string::npos) << error;
-  EXPECT_NE(error.find("127"), std::string::npos) << error;  // theirs
-  EXPECT_NE(error.find("2"), std::string::npos) << error;    // ours
+  EXPECT_NE(error.find("v127"), std::string::npos) << error;  // theirs
+  EXPECT_NE(error.find("v" + std::to_string(kWireVersion)), std::string::npos)
+      << error;  // ours
+}
+
+TEST(Wire, RejectsAV2PeerNamingV2AndV3) {
+  // A v2 peer framed every field at the same offsets as v3 but sealed
+  // payloads with FNV-1a: it must fail at the version check, naming both
+  // versions, before any checksum is compared.
+  ASSERT_EQ(kWireVersion, 3);
+  FrameHeader v2;
+  v2.version = 2;
+  v2.type = static_cast<std::uint16_t>(MsgType::kHeartbeat);
+  v2.payload_bytes = 8;
+  std::vector<std::uint8_t> bytes(kFrameHeaderBytes + 8, 0);
+  encode_frame_header(v2, bytes.data());
+  EXPECT_EQ(bytes[4], 2);  // version low byte
+  EXPECT_EQ(bytes[5], 0);
+  Frame out;
+  std::string error;
+  EXPECT_FALSE(decode_frame(bytes, &out, &error));
+  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  EXPECT_NE(error.find("v2"), std::string::npos) << error;
+  EXPECT_NE(error.find("v3"), std::string::npos) << error;
+  FrameHeader h;
+  EXPECT_FALSE(decode_frame_header(bytes, &h, &error));
+  EXPECT_NE(error.find("v2"), std::string::npos) << error;
 }
 
 TEST(Wire, RejectsUnknownMessageType) {
@@ -291,6 +317,88 @@ TEST(Wire, RejectsLyingElementCountWithoutAllocating) {
   EXPECT_FALSE(error.empty());
 }
 
+/// Overwrite the little-endian u32 at `offset` of a frame's payload.
+void poke_u32(Frame* f, std::size_t offset, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    f->payload[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// The three counts the bulk array decoder must reject when written into
+/// the count field at `offset`: exactly every remaining byte (the array
+/// then swallows what follows it), one element past that, and the
+/// largest count the field can hold.
+std::vector<std::uint32_t> lying_counts(const Frame& f, std::size_t offset) {
+  const auto remaining =
+      static_cast<std::uint32_t>((f.payload.size() - offset - 4) / 4);
+  return {remaining, remaining + 1, UINT32_MAX};
+}
+
+TEST(Wire, BulkArrayDecodeRejectsEveryLyingCountWithoutAllocating) {
+  QueryBatchMsg query;
+  query.submission = 5;
+  query.shard = 1;
+  query.keys = {10, 20, 30, 40, 50};
+  query.ids = {0, 1, 2, 3, 4};
+  RankBatchMsg rank;
+  rank.submission = 5;
+  rank.shard = 1;
+  rank.busy_ns = 77;
+  rank.ids = {0, 1, 2, 3, 4};
+  rank.ranks = {3, 3, 9, 12, 12};
+  const Frame query_frame = encode_query_batch(kCoordinatorId, query);
+  const Frame rank_frame = encode_rank_batch(0, rank);
+  // First-array count offsets: query_batch keys after submission(8) +
+  // shard(4) + chunk(4); rank_batch ids after those + busy_ns(8).
+  constexpr std::size_t kQueryKeys = 16;
+  constexpr std::size_t kRankIds = 24;
+  const std::size_t max_elements = query_frame.payload.size() / 4;
+
+  for (const std::uint32_t count : lying_counts(query_frame, kQueryKeys)) {
+    Frame f = query_frame;
+    poke_u32(&f, kQueryKeys, count);
+    QueryBatchMsg out;
+    std::string error;
+    EXPECT_FALSE(decode_query_batch(f, &out, &error)) << count;
+    EXPECT_NE(error.find("truncated query_batch"), std::string::npos)
+        << count << ": " << error;
+    EXPECT_LE(out.keys.capacity(), max_elements) << count;
+    EXPECT_LE(out.ids.capacity(), max_elements) << count;
+  }
+  for (const std::uint32_t count : lying_counts(rank_frame, kRankIds)) {
+    Frame f = rank_frame;
+    poke_u32(&f, kRankIds, count);
+    RankBatchMsg out;
+    std::string error;
+    EXPECT_FALSE(decode_rank_batch(f, &out, &error)) << count;
+    EXPECT_NE(error.find("truncated rank_batch"), std::string::npos)
+        << count << ": " << error;
+    EXPECT_LE(out.ids.capacity(), max_elements) << count;
+    EXPECT_LE(out.ranks.capacity(), max_elements) << count;
+  }
+  // The second array's count: there an exact fit is the honest count,
+  // so only past-the-end counts are lies.
+  const std::size_t query_ids = kQueryKeys + 4 + 4 * query.keys.size();
+  const std::size_t rank_ranks = kRankIds + 4 + 4 * rank.ids.size();
+  for (const std::uint32_t count : lying_counts(query_frame, query_ids)) {
+    Frame f = query_frame;
+    poke_u32(&f, query_ids, count);
+    QueryBatchMsg out;
+    std::string error;
+    EXPECT_EQ(decode_query_batch(f, &out, &error), count == query.ids.size())
+        << count << ": " << error;
+    EXPECT_LE(out.ids.capacity(), max_elements) << count;
+  }
+  for (const std::uint32_t count : lying_counts(rank_frame, rank_ranks)) {
+    Frame f = rank_frame;
+    poke_u32(&f, rank_ranks, count);
+    RankBatchMsg out;
+    std::string error;
+    EXPECT_EQ(decode_rank_batch(f, &out, &error), count == rank.ranks.size())
+        << count << ": " << error;
+    EXPECT_LE(out.ranks.capacity(), max_elements) << count;
+  }
+}
+
 TEST(Wire, RejectsTrailingBytes) {
   Frame f = encode_build_ack(1, {.shards_received = 1, .replica_keys = 10});
   f.payload.push_back(0xab);  // one stray byte after a valid message
@@ -318,7 +426,70 @@ TEST(Wire, RejectsHeaderPayloadLengthDisagreement) {
   EXPECT_FALSE(error.empty());
 }
 
-// --- Checksums and epochs (wire v2) ---------------------------------------
+// --- The CRC32C seal and link epochs -------------------------------------
+
+std::vector<std::uint8_t> bytes_of(std::string_view text) {
+  return {text.begin(), text.end()};
+}
+
+TEST(Wire, ChecksumIsCrc32cKnownAnswers) {
+  // RFC 3720 B.4 and the standard CRC-32C check value.
+  const std::vector<std::uint8_t> check = bytes_of("123456789");
+  const std::vector<std::uint8_t> zeros(32, 0x00);
+  const std::vector<std::uint8_t> ones(32, 0xff);
+  std::vector<std::uint8_t> ascending(32);
+  for (std::size_t i = 0; i < ascending.size(); ++i)
+    ascending[i] = static_cast<std::uint8_t>(i);
+  for (const auto crc : {wire_checksum, wire_checksum_portable}) {
+    EXPECT_EQ(crc(check), 0xE3069283u);
+    EXPECT_EQ(crc(zeros), 0x8A9136AAu);
+    EXPECT_EQ(crc(ones), 0x62A8AB43u);
+    EXPECT_EQ(crc(ascending), 0x46DD794Eu);
+    EXPECT_EQ(crc({}), 0u);
+  }
+}
+
+TEST(Wire, ChecksumPathsAgreeAtEveryLengthAndAlignment) {
+  // wire_checksum takes the hardware crc32 path where the CPU has one;
+  // it must agree with the table path on every tail length (0-7 bytes
+  // past a whole word) from every start alignment.
+  std::vector<std::uint8_t> buffer(8 + 257);
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::uint8_t& b : buffer) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 257; ++length) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset, length);
+      ASSERT_EQ(wire_checksum(bytes), wire_checksum_portable(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Wire, EverySingleByteFlipOfAFullQueryBatchIsCaught) {
+  // A per-shard dispatch frame of the size the cluster sends (16 Ki
+  // queries over 3 nodes): every byte of the payload, flipped alone,
+  // must break the seal.
+  QueryBatchMsg msg;
+  msg.submission = 123;
+  msg.shard = 2;
+  for (std::uint32_t i = 0; i < 5461; ++i) {
+    msg.keys.push_back(i * 2654435761u);
+    msg.ids.push_back(3 * i + 2);
+  }
+  Frame f = encode_query_batch(kCoordinatorId, msg);
+  ASSERT_TRUE(frame_checksum_ok(f));
+  std::size_t missed = 0;
+  for (std::size_t i = 0; i < f.payload.size(); ++i) {
+    f.payload[i] ^= 0xff;
+    if (frame_checksum_ok(f)) ++missed;
+    f.payload[i] ^= 0xff;
+  }
+  EXPECT_EQ(missed, 0u) << "of " << f.payload.size() << " bytes";
+  EXPECT_TRUE(frame_checksum_ok(f));
+}
 
 TEST(Wire, EncodersSealAVerifiableChecksum) {
   QueryBatchMsg msg;
