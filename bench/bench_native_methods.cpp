@@ -109,36 +109,18 @@ void BM_BranchlessUpperBound(benchmark::State& state) {
 BENCHMARK(BM_BranchlessUpperBound)->Arg(1 << 12)->Arg(1 << 15)->Arg(1 << 18)
     ->Arg(1 << 21);
 
-void BM_PrefetchUpperBound(benchmark::State& state) {
-  const auto& d = data(static_cast<std::size_t>(state.range(0)));
-  std::size_t qi = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index::prefetch_upper_bound(d.keys, d.queries[qi]));
-    qi = (qi + 1) % d.queries.size();
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PrefetchUpperBound)->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
-
-template <index::SearchKernel Kernel>
 void BM_EytzingerLookup(benchmark::State& state) {
   const auto& d = data(static_cast<std::size_t>(state.range(0)));
   const index::EytzingerLayout layout(d.keys);
   std::size_t qi = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        Kernel == index::SearchKernel::kEytzingerPrefetch
-            ? index::eytzinger_prefetch_upper_bound(layout, d.queries[qi])
-            : index::eytzinger_upper_bound(layout, d.queries[qi]));
+        index::eytzinger_upper_bound(layout, d.queries[qi]));
     qi = (qi + 1) % d.queries.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EytzingerLookup<index::SearchKernel::kEytzinger>)
-    ->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
-BENCHMARK(BM_EytzingerLookup<index::SearchKernel::kEytzingerPrefetch>)
-    ->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
+BENCHMARK(BM_EytzingerLookup)->Arg(1 << 15)->Arg(1 << 18)->Arg(1 << 21);
 
 // The interleaved kernels are measured per-message (the shape the
 // worker loop feeds them), not per-lookup: W lockstep searches only

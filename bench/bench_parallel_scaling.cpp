@@ -4,9 +4,8 @@
 // the speedup off the makespan; this bench does the same on one host:
 // grow the worker-thread count, keep the workload fixed, and report
 // wall-clock throughput, speedup vs one thread, and parallel efficiency.
-// A second table compares the three exact search kernels, since the
-// branchless/prefetch variants are the per-shard analogue of the paper's
-// cache-conscious slave structures; a third measures index reuse vs
+// A second table compares the exact search kernels, since they are the
+// per-shard analogue of the paper's cache-conscious slave structures; a third measures index reuse vs
 // rebuild-per-call amortization through the v2 build/connect API (the
 // clients x in-flight-depth surface lives in bench_multiclient).
 #include "bench/bench_common.hpp"

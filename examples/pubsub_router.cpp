@@ -5,13 +5,18 @@
 // message must reach the broker owning its topic range. The router
 // keeps only the partition delimiters (the paper's master data
 // structure) and streams message batches to the brokers. This example
-// uses the native (threaded) engine: brokers are real threads, and the
-// run reports end-to-end throughput on this host.
+// runs Method C-3 on the parallel-native engine: brokers are pinned
+// worker threads, and the run reports end-to-end throughput on this
+// host. Every rank is checked against std::upper_bound; the exit code is
+// non-zero on any mismatch.
 //
-//   $ ./example_pubsub_router [--topics N] [--messages N] [--brokers N]
+//   $ ./pubsub_router [--topics N] [--messages N] [--brokers N]
+#include <algorithm>
 #include <cstdio>
 
-#include "src/core/distributed_index.hpp"
+#include "src/arch/machine.hpp"
+#include "src/core/engine.hpp"
+#include "src/index/partitioner.hpp"
 #include "src/util/cli.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/timer.hpp"
@@ -27,10 +32,10 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   Rng rng(23);
-  auto topics = workload::make_sorted_unique_keys(
+  const auto topics = workload::make_sorted_unique_keys(
       static_cast<std::size_t>(cli.get_int("topics")), rng);
   const auto brokers = static_cast<std::uint32_t>(cli.get_int("brokers"));
-  DistributedInCacheIndex index(std::move(topics), brokers);
+  const index::RangePartitioner router(topics, brokers);
 
   // Popular topics dominate real pub-sub traffic: Zipf over topic space.
   const auto publishes = workload::make_zipf_queries(
@@ -39,12 +44,12 @@ int main(int argc, char** argv) {
 
   std::printf("%zu topics over %u brokers; routing %zu publishes "
               "(Zipf s=%.1f)\n",
-              index.size(), index.partitions(), publishes.size(),
+              topics.size(), router.parts(), publishes.size(),
               cli.get_double("skew"));
 
   // Broker load preview from the router's delimiters alone.
-  std::vector<std::uint64_t> load(brokers, 0);
-  for (const auto topic : publishes) ++load[index.route(topic)];
+  std::vector<std::uint64_t> load(router.parts(), 0);
+  for (const auto topic : publishes) ++load[router.route(topic)];
   std::printf("broker load:");
   for (const auto l : load)
     std::printf(" %.1f%%",
@@ -52,14 +57,30 @@ int main(int argc, char** argv) {
                     static_cast<double>(publishes.size()));
   std::printf("\n");
 
-  // Route everything through the threaded master/broker pipeline.
+  // Route everything through the master/broker pipeline: one master
+  // plus one pinned worker per broker, each holding its topic range.
+  core::ExperimentConfig cfg;
+  cfg.method = core::Method::kC3;
+  cfg.machine = arch::pentium3_cluster();
+  cfg.num_nodes = brokers + 1;
+  cfg.batch_bytes = 64 * KiB;
+  const auto index =
+      core::make_engine(core::Backend::kParallelNative, cfg)->build(topics);
+  const auto client = index->connect();
+  std::vector<rank_t> slots;
   WallTimer timer;
-  const auto slots = index.lookup_batch(publishes, 64 * KiB);
+  client->wait(client->submit(publishes, &slots));
   const double sec = timer.elapsed_sec();
+
   std::uint64_t delivered = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i)
-    delivered += slots[i] > 0 &&
-                 index.keys()[slots[i] - 1] == publishes[i];
+  std::uint64_t mismatches = 0;
+  for (std::size_t i = 0; i < publishes.size(); ++i) {
+    const auto expected = static_cast<rank_t>(
+        std::upper_bound(topics.begin(), topics.end(), publishes[i]) -
+        topics.begin());
+    mismatches += slots[i] != expected;
+    delivered += expected > 0 && topics[expected - 1] == publishes[i];
+  }
   std::printf(
       "routed %zu publishes in %.3f s (%.2f M msg/s); %llu hit a "
       "registered topic exactly\n",
@@ -68,5 +89,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(delivered));
   std::printf("unmatched publishes fall to the range owner for wildcard "
               "evaluation — same dataflow, no extra lookup\n");
+  if (mismatches != 0) {
+    std::fprintf(stderr, "FAIL: %llu of %zu ranks differ from "
+                 "std::upper_bound\n",
+                 static_cast<unsigned long long>(mismatches),
+                 publishes.size());
+    return 1;
+  }
   return 0;
 }

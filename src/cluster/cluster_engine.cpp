@@ -1,16 +1,20 @@
+// The coordinator: links, epochs, the admission ladder and the receive
+// and sweep threads. Each submission's retry/failover rules live in its
+// ChunkLedger (chunk_ledger.hpp), driven here under chunk_mu.
 #include "src/cluster/cluster_engine.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "src/cluster/chunk_ledger.hpp"
 #include "src/cluster/node.hpp"
 #include "src/cluster/process_node.hpp"
 #include "src/core/dispatch.hpp"
@@ -62,10 +66,8 @@ ClusterEngine::ClusterEngine(const ClusterConfig& config) : config_(config) {
                  "ClusterConfig::ring_frames = %zu: a frame pipe needs at "
                  "least one slot",
                  config_.ring_frames);
-  DICI_CHECK_FMT(config_.retry_backoff_us >= 1,
-                 "ClusterConfig::retry_backoff_us = %u: the retry sweeper "
-                 "needs a nonzero base backoff",
-                 config_.retry_backoff_us);
+  core::validate_retry_knobs("ClusterConfig", config_.max_retries,
+                             config_.retry_backoff_us);
 }
 
 ClusterConfig cluster_config_from(const core::ExperimentConfig& config) {
@@ -102,26 +104,21 @@ ClusterEngine::ClusterEngine(const core::ExperimentConfig& config)
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using FaultDirection = net::FaultInjectingEndpoint::Direction;
+using FaultMode = net::FaultInjectingEndpoint::Mode;
 using namespace std::chrono_literals;
 
-/// Build-phase patience (join handshake, build acks): a node that can't
-/// answer within this during build is a bug, and build has no error
-/// channel — it aborts loudly.
+/// Admission patience per step. Build has no error channel: a node
+/// that can't answer within this is a bug, and build aborts loudly. A
+/// re-join returns false (the node goes back to DEAD), so it can give up
+/// fast — e.g. when re-joining into a still-partitioned link.
 constexpr auto kBuildTimeout = 30s;
-
-/// Re-join patience. Unlike build, a re-join has an error channel (it
-/// returns false and the node goes back to DEAD), so it can afford to
-/// give up fast — e.g. when the operator re-joins into a still-
-/// partitioned link.
 constexpr auto kRejoinTimeout = 5s;
 
 /// Keys per kBuildShard chunk. 4 MiB of payload per frame — far under
 /// kMaxFramePayloadBytes, large enough that a build is a handful of
 /// frames per shard.
 constexpr std::size_t kBuildChunkKeys = 1u << 20;
-
-/// failed_node sentinel: no failure recorded / no routable node.
-constexpr std::uint32_t kNoFailure = 0xffffffffu;
 
 std::uint32_t clamped_shards(const ClusterConfig& config, std::size_t n) {
   const std::uint32_t want =
@@ -139,20 +136,15 @@ struct RecoveryLedger {
   std::atomic<std::uint64_t> recovery_ns{0};
 };
 
-/// One tracked dispatch message. The encoded request frame is RETAINED
-/// until exactly one reply claims the chunk — that copy is what the
-/// retry sweeper re-sends and what failover re-routes, and the chunk id
-/// it carries is what dedupes however many answers the fault schedule
-/// lets through. All fields are guarded by the owning submission's
-/// chunk_mu.
-struct Chunk {
-  net::Frame frame;           ///< encoded kQueryBatch (epoch re-stamped per send)
-  std::uint32_t shard = 0;    ///< kGlobalShard under kReplicate
-  std::uint32_t node = 0;     ///< current assignment
-  std::uint32_t attempts = 0; ///< sends on the current assignment
-  std::uint32_t hops = 0;     ///< failover re-assignments so far
-  Clock::time_point next_retry{};
-  bool done = false;          ///< claimed by a reply, or written off
+/// What one submission sent to and heard from one node.
+struct NodeTally {
+  std::uint64_t sent = 0;        ///< request frames (retries included)
+  std::uint64_t sent_bytes = 0;  ///< their serialized bytes
+  std::uint64_t replies = 0;     ///< claimed reply frames
+  std::uint64_t reply_bytes = 0;
+  std::uint64_t queries = 0;     ///< queries the node resolved
+  std::uint64_t busy_ns = 0;
+  Summary latency;               ///< filled only under track_latency
 };
 
 /// Completion record for one submitted batch. `outstanding` starts at 1
@@ -161,19 +153,16 @@ struct Chunk {
 /// written off by the failure path when no replica survives — so the
 /// countdown is immune to duplicated, delayed, and re-sent frames.
 ///
-/// Locking: chunk_mu guards the chunk table, the per-node stat slots,
-/// and the sent-side counters (every send — submitter, sweeper,
-/// failover — happens under it, as does every reply claim). Lock order:
-/// chunk_mu -> link tx (innermost); subs_mu_ is only ever taken with
-/// chunk_mu RELEASED.
+/// Locking: chunk_mu guards the chunk ledger and the per-node tallies
+/// (every send — submitter, sweeper, failover — happens under it, as
+/// does every reply claim). Lock order: chunk_mu -> link tx (innermost);
+/// subs_mu_ is only ever taken with chunk_mu RELEASED.
 struct ClusterSubmission {
-  ClusterSubmission(std::uint64_t id_, std::uint32_t num_nodes,
-                    bool track_latency_)
-      : id(id_), track_latency(track_latency_), node_queries(num_nodes, 0),
-        node_busy_ns(num_nodes, 0), node_replies(num_nodes, 0),
-        node_reply_bytes(num_nodes, 0), node_sent(num_nodes, 0),
-        node_sent_bytes(num_nodes, 0),
-        node_latency(track_latency_ ? num_nodes : 0) {}
+  ClusterSubmission(std::uint64_t id_, const ClusterConfig& config)
+      : id(id_), track_latency(config.track_latency),
+        ledger({config.max_retries, config.retry_backoff_us, config.failover,
+                config.num_nodes}),
+        nodes(config.num_nodes) {}
 
   const std::uint64_t id;
   rank_t* out = nullptr;
@@ -191,26 +180,14 @@ struct ClusterSubmission {
 
   // --- Everything below here is guarded by chunk_mu -----------------------
   std::mutex chunk_mu;
-  std::deque<Chunk> chunks;  ///< deque: stable addresses, indexed by chunk id
-
-  std::vector<std::uint64_t> node_queries;
-  std::vector<std::uint64_t> node_busy_ns;
-  std::vector<std::uint64_t> node_replies;
-  std::vector<std::uint64_t> node_reply_bytes;
-  std::vector<std::uint64_t> node_sent;
-  std::vector<std::uint64_t> node_sent_bytes;
-  std::vector<Summary> node_latency;
-
-  std::uint64_t messages = 0;    ///< frames actually sent (retries included)
-  std::uint64_t wire_bytes = 0;  ///< request-hop serialized bytes
-  std::uint64_t retries = 0;     ///< re-sends of unanswered chunks
-  std::uint64_t failovers = 0;   ///< chunks re-routed to another replica
+  ChunkLedger ledger;
+  std::vector<NodeTally> nodes;
   // --- End of chunk_mu protection -----------------------------------------
 
   /// First node whose unrecoverable death touched this submission
-  /// (kNoFailure = none). A recovered fault (retry or failover worked)
+  /// (kNoNode = none). A recovered fault (retry or failover worked)
   /// never sets this.
-  std::atomic<std::uint32_t> failed_node{kNoFailure};
+  std::atomic<std::uint32_t> failed_node{kNoNode};
 
   // Filled by the submitter before it releases its hold.
   std::uint64_t num_queries = 0;
@@ -222,11 +199,10 @@ struct ClusterSubmission {
   std::atomic<std::uint64_t> outstanding{1};
   std::mutex mu;
   std::condition_variable cv;
-  bool done = false;
-  std::atomic<bool> done_flag{false};
+  std::atomic<bool> done{false};  ///< set under mu; readable lock-free
 
   void record_failure(std::uint32_t node) {
-    std::uint32_t expected = kNoFailure;
+    std::uint32_t expected = kNoNode;
     failed_node.compare_exchange_strong(expected, node,
                                         std::memory_order_acq_rel);
   }
@@ -238,16 +214,15 @@ struct ClusterSubmission {
     wall_sec = timer.elapsed_sec();
     {
       std::lock_guard lock(mu);
-      done = true;
+      done.store(true, std::memory_order_release);
     }
-    done_flag.store(true, std::memory_order_release);
     cv.notify_all();
     return true;
   }
 
   void await_done() {
     std::unique_lock lock(mu);
-    cv.wait(lock, [&] { return done; });
+    cv.wait(lock, [&] { return done.load(std::memory_order_acquire); });
   }
 };
 
@@ -284,10 +259,12 @@ class ClusterIndex : public Index {
       links_[i]->endpoint = std::move(spawned.endpoint);
       nodes_.push_back(std::move(spawned.peer));
     }
-    join_all();
-    broadcast_cluster_info();
-    scatter_shards();
-    await_build_acks();
+    // Build has no error channel: a node that cannot be admitted is a
+    // bug, and build aborts naming it.
+    std::string why;
+    const std::uint32_t failed = admit(0, N, kBuildTimeout, &why);
+    DICI_CHECK_FMT(failed == kNoNode, "cluster build: node %u %s", failed,
+                   why.c_str());
     broadcast_cluster_info();
     // The build ran on a clean wire; only now do the configured faults
     // start biting (build retries are deliberately not a thing).
@@ -306,13 +283,7 @@ class ClusterIndex : public Index {
     stop_.store(true, std::memory_order_release);
     if (controller_ != nullptr) controller_->heal();
     sweeper_.join();
-    for (std::uint32_t i = 0; i < links_.size(); ++i) {
-      std::lock_guard lock(links_[i]->tx);
-      if (!links_[i]->dead.load(std::memory_order_acquire)) {
-        (void)links_[i]->endpoint->send(
-            net::encode_shutdown(net::kCoordinatorId), 10ms);
-      }
-    }
+    send_to_live(net::encode_shutdown(net::kCoordinatorId), 10ms);
     for (auto& link : links_) link->endpoint->close();
     for (auto& receiver : receivers_)
       if (receiver.joinable()) receiver.join();
@@ -370,66 +341,24 @@ class ClusterIndex : public Index {
     return msg;
   }
 
-  std::chrono::milliseconds send_timeout() const {
-    return std::chrono::milliseconds(config_.heartbeat_timeout_ms);
-  }
-
-  /// Backoff before the (attempts+1)-th send of a chunk: base * 2^k,
-  /// exponent capped so a long outage polls, not overflows.
-  Clock::duration backoff_after(std::uint32_t attempts) const {
-    const std::uint32_t shift = std::min(attempts == 0 ? 0u : attempts - 1, 6u);
-    return std::chrono::microseconds(
-        static_cast<std::uint64_t>(config_.retry_backoff_us) << shift);
-  }
-
-  /// A fresh transport pair for node `i`, fault-decorated when the
-  /// config asks for it. The injection seed is salted with node and
-  /// epoch, so every link — and every re-join incarnation of a link —
-  /// draws its own reproducible schedule from one config seed.
-  std::pair<std::unique_ptr<net::Endpoint>, std::unique_ptr<net::Endpoint>>
-  make_link(std::uint32_t i, std::uint32_t epoch) const {
-    auto [coordinator_end, node_end] =
-        net::make_transport_pair(config_.transport, config_.ring_frames);
-    if (controller_ == nullptr)
-      return {std::move(coordinator_end), std::move(node_end)};
+  /// Wrap `end` so the `direction` traffic of node `i`'s link
+  /// incarnation `epoch` meets the configured faults. The seed is salted
+  /// with node and epoch, so every link — and every re-join incarnation
+  /// of a link — draws its own reproducible schedule from one config
+  /// seed.
+  std::unique_ptr<net::Endpoint> inject_faults(
+      std::unique_ptr<net::Endpoint> end, FaultDirection direction,
+      std::uint32_t i, std::uint32_t epoch,
+      FaultMode mode = FaultMode::kSendSide) const {
     std::uint64_t state =
         config_.faults.seed ^ (0x9e3779b97f4a7c15ull * (i + 1) + epoch);
-    const std::uint64_t to_node_seed = splitmix64(state);
-    const std::uint64_t to_coordinator_seed = splitmix64(state);
-    auto coordinator = std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(coordinator_end), controller_,
-        net::FaultInjectingEndpoint::Direction::kToNode,
-        config_.faults.to_node, to_node_seed);
-    auto node = std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(node_end), controller_,
-        net::FaultInjectingEndpoint::Direction::kToCoordinator,
-        config_.faults.to_coordinator, to_coordinator_seed);
-    return {std::move(coordinator), std::move(node)};
-  }
-
-  /// Fault decoration for a process link, where only the coordinator's
-  /// end of the wire lives in this address space: the node-bound rates
-  /// inject on send (as usual), and the coordinator-bound rates inject
-  /// at INTAKE (Mode::kRecvSide) on the same endpoint — so the child's
-  /// traffic faces the same schedule an in-process node's would,
-  /// drawn from the identical node/epoch-salted seeds.
-  std::unique_ptr<net::Endpoint> decorate_coordinator_end(
-      std::unique_ptr<net::Endpoint> raw, std::uint32_t i,
-      std::uint32_t epoch) const {
-    if (controller_ == nullptr) return raw;
-    std::uint64_t state =
-        config_.faults.seed ^ (0x9e3779b97f4a7c15ull * (i + 1) + epoch);
-    const std::uint64_t to_node_seed = splitmix64(state);
-    const std::uint64_t to_coordinator_seed = splitmix64(state);
-    auto intake = std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(raw), controller_,
-        net::FaultInjectingEndpoint::Direction::kToCoordinator,
-        config_.faults.to_coordinator, to_coordinator_seed,
-        net::FaultInjectingEndpoint::Mode::kRecvSide);
+    const bool to_node = direction == FaultDirection::kToNode;
+    std::uint64_t seed = splitmix64(state);  // the to-node draw comes first
+    if (!to_node) seed = splitmix64(state);
     return std::make_unique<net::FaultInjectingEndpoint>(
-        std::move(intake), controller_,
-        net::FaultInjectingEndpoint::Direction::kToNode,
-        config_.faults.to_node, to_node_seed);
+        std::move(end), controller_, direction,
+        to_node ? config_.faults.to_node : config_.faults.to_coordinator,
+        seed, mode);
   }
 
   /// One node slot, spawned per the configured transport: the
@@ -442,125 +371,186 @@ class ClusterIndex : public Index {
   };
 
   SpawnedNode spawn_node(std::uint32_t i, std::uint32_t epoch) const {
-    if (net::transport_is_process(config_.transport)) {
-      const std::string binary = config_.node_binary.empty()
-                                     ? ProcessNode::default_binary()
-                                     : config_.node_binary;
-      std::unique_ptr<net::Endpoint> raw;
-      std::unique_ptr<NodePeer> peer;
-      if (config_.transport == net::TransportKind::kFork) {
-        int fds[2];
-        net::cloexec_socketpair(fds);
-        peer = ProcessNode::spawn_fd(binary, i, fds[1]);
-        raw = std::make_unique<net::FdEndpoint>(fds[0]);
-      } else {
-        net::TcpListener listener;
-        peer = ProcessNode::spawn_connect(binary, i, listener.port());
-        std::string error;
-        raw = listener.accept(kBuildTimeout, &error);
-        DICI_CHECK_FMT(raw != nullptr,
-                       "cluster build: spawned node %u never connected back "
-                       "to the coordinator's listener (%s)",
-                       i, error.c_str());
+    if (!net::transport_is_process(config_.transport)) {
+      auto [coordinator_end, node_end] =
+          net::make_transport_pair(config_.transport, config_.ring_frames);
+      if (controller_ != nullptr) {
+        coordinator_end = inject_faults(std::move(coordinator_end),
+                                        FaultDirection::kToNode, i, epoch);
+        node_end = inject_faults(std::move(node_end),
+                                 FaultDirection::kToCoordinator, i, epoch);
       }
-      return {decorate_coordinator_end(std::move(raw), i, epoch),
-              std::move(peer)};
+      return {std::move(coordinator_end),
+              std::make_unique<ClusterNode>(i, std::move(node_end))};
     }
-    auto [coordinator_end, node_end] = make_link(i, epoch);
-    return {std::move(coordinator_end),
-            std::make_unique<ClusterNode>(i, std::move(node_end))};
-  }
-
-  // --- Build phase (constructor, and re-join's re-scatter) ----------------
-
-  /// Receive the next frame from node `i` during build, skipping (but
-  /// recording) heartbeats. Aborts on timeout/close — build has no
-  /// error channel and a node that dies during build is a bug.
-  net::Frame recv_build_frame(std::uint32_t i) {
-    for (;;) {
-      net::Frame frame;
+    const std::string binary = config_.node_binary.empty()
+                                   ? ProcessNode::default_binary()
+                                   : config_.node_binary;
+    std::unique_ptr<net::Endpoint> raw;
+    std::unique_ptr<NodePeer> peer;
+    if (config_.transport == net::TransportKind::kFork) {
+      int fds[2];
+      net::cloexec_socketpair(fds);
+      peer = ProcessNode::spawn_fd(binary, i, fds[1]);
+      raw = std::make_unique<net::FdEndpoint>(fds[0]);
+    } else {
+      net::TcpListener listener;
+      peer = ProcessNode::spawn_connect(binary, i, listener.port());
       std::string error;
-      const auto result =
-          links_[i]->endpoint->recv(&frame, kBuildTimeout, &error);
-      DICI_CHECK_FMT(result == net::Endpoint::RecvResult::kFrame,
-                     "cluster build: node %u went silent before completing "
-                     "the handshake (recv result %d: %s)",
-                     i, static_cast<int>(result), error.c_str());
-      if (frame.header.msg_type() == net::MsgType::kHeartbeat) {
-        std::lock_guard lock(membership_mu_);
-        membership_.record_alive(i, Clock::now());
-        continue;
-      }
-      return frame;
+      raw = listener.accept(kBuildTimeout, &error);
+      DICI_CHECK_FMT(raw != nullptr,
+                     "cluster build: spawned node %u never connected back "
+                     "to the coordinator's listener (%s)",
+                     i, error.c_str());
     }
+    if (controller_ != nullptr) {
+      // Only the coordinator's end of a process link lives in this
+      // address space: the node-bound rates inject on send (as usual),
+      // and the coordinator-bound rates inject at INTAKE (kRecvSide) on
+      // the same endpoint — so the child's traffic faces the same
+      // schedule an in-process node's would, from the same seeds.
+      raw = inject_faults(inject_faults(std::move(raw),
+                                        FaultDirection::kToCoordinator, i,
+                                        epoch, FaultMode::kRecvSide),
+                          FaultDirection::kToNode, i, epoch);
+    }
+    return {std::move(raw), std::move(peer)};
   }
 
-  void send_control(std::uint32_t i, net::Frame frame) {
+  // --- Admission (build, and re-join) -------------------------------------
+
+  /// Send a control frame to node `i`, stamped with its link's epoch.
+  bool send_control(std::uint32_t i, net::Frame frame,
+                    std::chrono::milliseconds patience) const {
     frame.header.epoch = links_[i]->epoch.load(std::memory_order_acquire);
     std::lock_guard lock(links_[i]->tx);
-    const auto result = links_[i]->endpoint->send(frame, kBuildTimeout);
-    DICI_CHECK_FMT(result == net::Endpoint::SendResult::kOk,
-                   "cluster build: send to node %u failed (result %d)", i,
-                   static_cast<int>(result));
+    return links_[i]->endpoint->send(frame, patience) ==
+           net::Endpoint::SendResult::kOk;
   }
 
-  void join_all() {
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
-      const net::Frame frame = recv_build_frame(i);
-      net::JoinRequestMsg request;
-      std::string error;
-      DICI_CHECK_FMT(
-          net::decode_join_request(frame, &request, &error) &&
-              request.node_id == i,
-          "cluster build: node %u sent %s instead of its join request (%s)",
-          i, net::msg_type_name(frame.header.msg_type()), error.c_str());
-      {
-        std::lock_guard lock(membership_mu_);
-        membership_.transition(i, NodeStatus::kJoining);
-        membership_.record_alive(i, Clock::now());
+  /// Receive node `i`'s next control frame within `patience` and decode
+  /// it as `what` into `msg`. Heartbeats are recorded as proof of life
+  /// and damaged frames dropped; false, with the reason in `why`, on
+  /// timeout, close, a broken stream or any other frame.
+  template <typename Msg, typename Decode>
+  bool expect_control(std::uint32_t i, const char* what, Decode decode,
+                      Msg* msg, std::chrono::milliseconds patience,
+                      std::string* why) const {
+    const auto deadline = Clock::now() + patience;
+    net::Frame frame;
+    std::string error;
+    for (;;) {
+      const auto left = deadline - Clock::now();
+      const auto result =
+          left > Clock::duration::zero()
+              ? links_[i]->endpoint->recv(&frame, left, &error)
+              : net::Endpoint::RecvResult::kTimeout;
+      if (result == net::Endpoint::RecvResult::kCorrupt) continue;
+      if (result != net::Endpoint::RecvResult::kFrame) {
+        *why = "went silent before completing the handshake (recv result " +
+               std::to_string(static_cast<int>(result)) + ": " + error + ")";
+        return false;
       }
-      send_control(i, net::encode_join_ack(net::kCoordinatorId,
-                                           {i, config_.num_nodes}));
+      if (frame.header.msg_type() != net::MsgType::kHeartbeat) break;
+      std::lock_guard lock(membership_mu_);
+      membership_.record_alive(i, Clock::now());
+    }
+    if (decode(frame, msg, &error)) return true;
+    *why = std::string("sent ") + net::msg_type_name(frame.header.msg_type()) +
+           " instead of its " + what + " (" + error + ")";
+    return false;
+  }
+
+  /// One admission step, taken on (or right after) a frame from node i.
+  void set_status(std::uint32_t i, NodeStatus status) const {
+    std::lock_guard lock(membership_mu_);
+    membership_.transition(i, status);
+    membership_.record_alive(i, Clock::now());
+  }
+
+  /// The admission ladder NULL|DEAD -> JOINING -> ACK -> ALIVE for nodes
+  /// [first, last) — all of them at build, one at re-join: join request,
+  /// join ack + kNodeConfig, shard scatter, build ack. It runs phase by
+  /// phase — every node is joined and has its shards shipped before any
+  /// build ack is awaited — so a build's nodes index concurrently.
+  /// Returns the first node that failed (kNoNode: all are ALIVE), with
+  /// the reason in `why`.
+  std::uint32_t admit(std::uint32_t first, std::uint32_t last,
+                      std::chrono::milliseconds patience,
+                      std::string* why) const {
+    for (std::uint32_t i = first; i < last; ++i) {
+      net::JoinRequestMsg request;
+      if (!expect_control(i, "join request", net::decode_join_request,
+                          &request, patience, why))
+        return i;
+      if (request.node_id != i) {
+        *why = "sent a join request for node " +
+               std::to_string(request.node_id);
+        return i;
+      }
+      set_status(i, NodeStatus::kJoining);
       // The wire IS the configuration channel: an exec'd dici_node
-      // learns its kernel/cadence/cluster size from this frame, and an
+      // learns its kernel/cadence/cluster size from kNodeConfig, and an
       // in-process node takes the identical path.
-      send_control(
-          i, net::encode_node_config(net::kCoordinatorId, node_config_msg()));
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kAck);
+      if (!send_control(i,
+                        net::encode_join_ack(net::kCoordinatorId,
+                                             {i, config_.num_nodes}),
+                        patience) ||
+          !send_control(i,
+                        net::encode_node_config(net::kCoordinatorId,
+                                                node_config_msg()),
+                        patience)) {
+        *why = "could not be sent its join ack";
+        return i;
+      }
+      set_status(i, NodeStatus::kAck);
     }
+    for (std::uint32_t i = first; i < last; ++i) {
+      bool sent = true;
+      const std::uint32_t shards =
+          for_each_build_shard(i, [&](net::BuildShardMsg&& msg) {
+            sent = sent &&
+                   send_control(
+                       i, net::encode_build_shard(net::kCoordinatorId, msg),
+                       patience);
+          });
+      if (!sent) {
+        *why = "could not be sent its shards";
+        return i;
+      }
+      std::lock_guard lock(membership_mu_);
+      membership_.set_shards(i, shards);
+    }
+    for (std::uint32_t i = first; i < last; ++i) {
+      net::BuildAckMsg ack;
+      if (!expect_control(i, "build ack", net::decode_build_ack, &ack,
+                          patience, why))
+        return i;
+      set_status(i, NodeStatus::kAlive);
+    }
+    return kNoNode;
   }
 
-  void broadcast_cluster_info() {
-    net::ClusterInfoMsg info;
-    {
-      std::lock_guard lock(membership_mu_);
-      info.nodes = membership_.to_entries();
-    }
-    const net::Frame frame =
-        net::encode_cluster_info(net::kCoordinatorId, info);
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i)
-      send_control(i, frame);
-  }
-
-  /// Best-effort cluster-info broadcast to the live nodes (used after a
-  /// re-join, when other nodes may be dead and the wire may be faulty —
-  /// a lost broadcast only stales a node's mirror, never correctness).
-  void broadcast_cluster_info_tolerant() const {
-    net::ClusterInfoMsg info;
-    {
-      std::lock_guard lock(membership_mu_);
-      info.nodes = membership_.to_entries();
-    }
-    const net::Frame frame =
-        net::encode_cluster_info(net::kCoordinatorId, info);
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
+  /// Best-effort send of `frame` to every live node.
+  void send_to_live(const net::Frame& frame,
+                    std::chrono::milliseconds patience) const {
+    for (const auto& link : links_) {
       net::Frame stamped = frame;
-      stamped.header.epoch = links_[i]->epoch.load(std::memory_order_acquire);
-      std::lock_guard lock(links_[i]->tx);
-      if (links_[i]->dead.load(std::memory_order_acquire)) continue;
-      (void)links_[i]->endpoint->send(stamped, 100ms);
+      stamped.header.epoch = link->epoch.load(std::memory_order_acquire);
+      std::lock_guard lock(link->tx);
+      if (!link->dead.load(std::memory_order_acquire))
+        (void)link->endpoint->send(stamped, patience);
     }
+  }
+
+  /// A lost broadcast only stales a node's mirror, never correctness.
+  void broadcast_cluster_info() const {
+    net::ClusterInfoMsg info;
+    {
+      std::lock_guard lock(membership_mu_);
+      info.nodes = membership_.to_entries();
+    }
+    send_to_live(net::encode_cluster_info(net::kCoordinatorId, info), 100ms);
   }
 
   /// Split one shard replica into chunk-tagged kBuildShard messages.
@@ -589,9 +579,8 @@ class ClusterIndex : public Index {
 
   /// Enumerate node `i`'s full build-frame sequence (ship order, the
   /// node's final frame last-flagged); returns the shard-replica count
-  /// of the assignment. Shared by the initial scatter and a re-join's
-  /// re-scatter, so a re-joined node is bit-identical to its first
-  /// incarnation.
+  /// of the assignment. A re-joined node gets the same sequence, so it
+  /// is bit-identical to its first incarnation.
   template <typename Emit>
   std::uint32_t for_each_build_shard(std::uint32_t i, Emit&& emit) const {
     const std::uint32_t N = config_.num_nodes;
@@ -626,46 +615,20 @@ class ClusterIndex : public Index {
     return static_cast<std::uint32_t>(shards.size());
   }
 
-  void scatter_shards() {
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
-      const std::uint32_t shards =
-          for_each_build_shard(i, [&](net::BuildShardMsg&& msg) {
-            send_control(i, net::encode_build_shard(net::kCoordinatorId, msg));
-          });
-      std::lock_guard lock(membership_mu_);
-      membership_.set_shards(i, shards);
-    }
-  }
-
-  void await_build_acks() {
-    for (std::uint32_t i = 0; i < config_.num_nodes; ++i) {
-      const net::Frame frame = recv_build_frame(i);
-      net::BuildAckMsg ack;
-      std::string error;
-      DICI_CHECK_FMT(
-          net::decode_build_ack(frame, &ack, &error),
-          "cluster build: node %u sent %s instead of its build ack (%s)", i,
-          net::msg_type_name(frame.header.msg_type()), error.c_str());
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kAlive);
-      membership_.record_alive(i, Clock::now());
-    }
-  }
-
   // --- Routing -------------------------------------------------------------
 
   /// Pick a live node holding `shard`, preferring anyone but `exclude`
-  /// (the current, suspect assignment — pass kNoFailure for none).
+  /// (the current, suspect assignment — pass kNoNode for none).
   /// Under kReplicate every node holds everything, so the scan round-
   /// robins the survivors; otherwise the shard's sole owner is the only
-  /// candidate. Returns kNoFailure when no (other) live holder exists.
+  /// candidate. Returns kNoNode when no (other) live holder exists.
   std::uint32_t pick_target(std::uint32_t shard, std::uint32_t exclude) const {
     const std::uint32_t N = config_.num_nodes;
     if (shard == net::kGlobalShard &&
         config_.placement == index::Placement::kReplicate) {
       const std::uint64_t start =
           round_robin_.fetch_add(1, std::memory_order_relaxed);
-      std::uint32_t fallback = kNoFailure;
+      std::uint32_t fallback = kNoNode;
       for (std::uint32_t k = 0; k < N; ++k) {
         const auto n = static_cast<std::uint32_t>((start + k) % N);
         if (links_[n]->dead.load(std::memory_order_acquire)) continue;
@@ -678,8 +641,8 @@ class ClusterIndex : public Index {
       return fallback;
     }
     const std::uint32_t owner = node_of_shard(shard);
-    if (links_[owner]->dead.load(std::memory_order_acquire)) return kNoFailure;
-    return owner == exclude ? kNoFailure : owner;
+    if (links_[owner]->dead.load(std::memory_order_acquire)) return kNoNode;
+    return owner == exclude ? kNoNode : owner;
   }
 
   /// Send `c` to its assigned node (chunk_mu held). A skipped or failed
@@ -692,22 +655,34 @@ class ClusterIndex : public Index {
         net::kFrameHeaderBytes + c.frame.payload.size();
     std::lock_guard lock(link.tx);
     if (link.dead.load(std::memory_order_acquire)) return;  // fail_node re-routes
-    if (link.endpoint->send(c.frame, send_timeout()) !=
+    if (link.endpoint->send(
+            c.frame, std::chrono::milliseconds(config_.heartbeat_timeout_ms)) !=
         net::Endpoint::SendResult::kOk)
       return;
-    sub.messages += 1;
-    sub.wire_bytes += frame_bytes;
-    sub.node_sent[c.node] += 1;
-    sub.node_sent_bytes[c.node] += frame_bytes;
+    NodeTally& tally = sub.nodes[c.node];
+    tally.sent += 1;
+    tally.sent_bytes += frame_bytes;
   }
 
-  /// Write a chunk off as unrecoverable (chunk_mu held): no surviving
-  /// replica holds its shard. The caller owns the finish(1).
-  static void fail_chunk(ClusterSubmission& sub, Chunk& c,
-                         std::uint32_t blame) {
-    c.done = true;
-    c.frame = {};
-    sub.record_failure(blame);
+  /// The ledger's send callable for `sub`.
+  ChunkLedger::SendChunk sender(ClusterSubmission& sub) const {
+    return [this, &sub](Chunk& c) { send_chunk(sub, c); };
+  }
+
+  /// Drop `k` from `sub`'s countdown; the call that completes it also
+  /// retires it from pending_. Call with chunk_mu released.
+  void finish(ClusterSubmission& sub, std::uint64_t k) const {
+    if (k == 0 || !sub.finish(k)) return;
+    std::lock_guard lock(subs_mu_);
+    pending_.erase(sub.id);
+  }
+
+  std::vector<std::shared_ptr<ClusterSubmission>> pending_snapshot() const {
+    std::lock_guard lock(subs_mu_);
+    std::vector<std::shared_ptr<ClusterSubmission>> subs;
+    subs.reserve(pending_.size());
+    for (auto& [id, sub] : pending_) subs.push_back(sub);
+    return subs;
   }
 
   // --- Failure path --------------------------------------------------------
@@ -729,37 +704,16 @@ class ClusterIndex : public Index {
       membership_.transition(i, NodeStatus::kDead);
     }
     links_[i]->endpoint->close();
-    std::vector<std::shared_ptr<ClusterSubmission>> subs;
-    {
-      std::lock_guard lock(subs_mu_);
-      subs.reserve(pending_.size());
-      for (auto& [id, sub] : pending_) subs.push_back(sub);
-    }
-    for (const auto& sub : subs) {
-      std::uint64_t finished = 0;
+    for (const auto& sub : pending_snapshot()) {
+      std::uint64_t written_off = 0;
       {
         std::lock_guard lock(sub->chunk_mu);
-        for (Chunk& c : sub->chunks) {
-          if (c.done || c.node != i) continue;
-          const std::uint32_t target =
-              config_.failover ? pick_target(c.shard, i) : kNoFailure;
-          if (target == kNoFailure || target == i) {
-            fail_chunk(*sub, c, i);
-            ++finished;
-            continue;
-          }
-          c.node = target;
-          c.attempts = 1;
-          ++c.hops;
-          sub->failovers += 1;
-          c.next_retry = Clock::now() + backoff_after(1);
-          send_chunk(*sub, c);
-        }
+        written_off =
+            sub->ledger.fail_node(i, Clock::now(), pick_, sender(*sub));
       }
-      if (finished != 0 && sub->finish(finished)) {
-        std::lock_guard lock(subs_mu_);
-        pending_.erase(sub->id);
-      }
+      // Recorded before the countdown drops, so the waiter sees it.
+      if (written_off != 0) sub->record_failure(i);
+      finish(*sub, written_off);
     }
   }
 
@@ -781,15 +735,9 @@ class ClusterIndex : public Index {
       if (it == pending_.end()) return;  // reply to a completed/failed batch
       sub = it->second;
     }
-    bool claimed = false;
     {
       std::lock_guard lock(sub->chunk_mu);
-      if (msg.chunk >= sub->chunks.size()) return;
-      Chunk& c = sub->chunks[msg.chunk];
-      if (c.done) return;  // duplicate / late copy — already claimed
-      c.done = true;
-      c.frame = {};  // the retained request copy is no longer needed
-      claimed = true;
+      if (!sub->ledger.claim(msg.chunk)) return;
       // The order-preserving merge: scatter by query id. The claim
       // under chunk_mu makes this exactly-once however many duplicated
       // or re-sent copies of the chunk were answered — and whichever
@@ -797,28 +745,25 @@ class ClusterIndex : public Index {
       // identically.
       for (std::size_t j = 0; j < msg.ids.size(); ++j)
         sub->out[msg.ids[j]] = msg.ranks[j];
-      sub->node_queries[i] += msg.ids.size();
-      sub->node_busy_ns[i] += msg.busy_ns;
-      sub->node_replies[i] += 1;
-      sub->node_reply_bytes[i] +=
-          net::kFrameHeaderBytes + frame.payload.size();
+      NodeTally& tally = sub->nodes[i];
+      tally.queries += msg.ids.size();
+      tally.busy_ns += msg.busy_ns;
+      tally.replies += 1;
+      tally.reply_bytes += net::kFrameHeaderBytes + frame.payload.size();
       if (sub->track_latency) {
         // One arrival stamp for the whole reply (its queries' answers
         // all exist on the coordinator now), read against the submit
         // stamp.
         const double resolved_ns = sub->timer.elapsed_ns();
         if (sub->queued_ns.empty()) {
-          sub->node_latency[i].add_n(resolved_ns, msg.ids.size());
+          tally.latency.add_n(resolved_ns, msg.ids.size());
         } else {
           for (const std::uint32_t id : msg.ids)
-            sub->node_latency[i].add(resolved_ns + sub->queued_ns[id]);
+            tally.latency.add(resolved_ns + sub->queued_ns[id]);
         }
       }
     }
-    if (claimed && sub->finish(1)) {
-      std::lock_guard lock(subs_mu_);
-      pending_.erase(sub->id);
-    }
+    finish(*sub, 1);
   }
 
   void receiver_loop(std::uint32_t i) const {
@@ -827,57 +772,44 @@ class ClusterIndex : public Index {
     const auto timeout =
         std::chrono::milliseconds(config_.heartbeat_timeout_ms);
     auto last_seen = Clock::now();
+    using Result = net::Endpoint::RecvResult;
     while (!stop_.load(std::memory_order_acquire)) {
       net::Frame frame;
       std::string error;
-      switch (links_[i]->endpoint->recv(&frame, interval, &error)) {
-        case net::Endpoint::RecvResult::kFrame: {
-          last_seen = Clock::now();
-          {
-            std::lock_guard lock(membership_mu_);
-            membership_.record_alive(i, last_seen);
-          }
-          if (frame.header.msg_type() == net::MsgType::kRankBatch &&
-              frame.header.epoch ==
-                  links_[i]->epoch.load(std::memory_order_acquire)) {
-            handle_rank_batch(i, frame);
-          }
-          // Heartbeats carry only liveness (recorded above); any other
-          // type — or a rank frame from a stale incarnation — is
-          // ignorable noise.
-          continue;
+      const Result result = links_[i]->endpoint->recv(&frame, interval, &error);
+      if (result == Result::kFrame || result == Result::kCorrupt) {
+        // Even a damaged frame proves the node's transmitter is alive;
+        // the frame itself is dropped and the sweeper's retries cover
+        // whatever it carried.
+        last_seen = Clock::now();
+        {
+          std::lock_guard lock(membership_mu_);
+          membership_.record_alive(i, last_seen);
         }
-        case net::Endpoint::RecvResult::kCorrupt:
-          // A damaged frame still proves the node's transmitter is
-          // alive; the frame itself is dropped and the sweeper's
-          // retries cover whatever it carried.
-          last_seen = Clock::now();
-          {
-            std::lock_guard lock(membership_mu_);
-            membership_.record_alive(i, last_seen);
-          }
-          continue;
-        case net::Endpoint::RecvResult::kTimeout:
-          if (Clock::now() - last_seen > timeout) {
-            fail_node(i);
-            return;
-          }
-          continue;
-        case net::Endpoint::RecvResult::kClosed:
-          if (!stop_.load(std::memory_order_acquire)) fail_node(i);
-          return;
-        case net::Endpoint::RecvResult::kError:
-          fail_node(i);
-          return;
+        // Heartbeats carry only liveness; any other type — or a rank
+        // frame from a stale incarnation — is ignorable noise.
+        if (result == Result::kFrame &&
+            frame.header.msg_type() == net::MsgType::kRankBatch &&
+            frame.header.epoch ==
+                links_[i]->epoch.load(std::memory_order_acquire))
+          handle_rank_batch(i, frame);
+        continue;
       }
+      if (result == Result::kTimeout && Clock::now() - last_seen <= timeout)
+        continue;
+      // Silence past the timeout, a broken stream, or a close that is
+      // not our own shutdown.
+      if (result != Result::kClosed || !stop_.load(std::memory_order_acquire))
+        fail_node(i);
+      return;
     }
   }
 
-  /// The retry sweeper: one coordinator thread that re-sends every
-  /// unanswered chunk whose backoff deadline passed. Retries cover
-  /// dropped/corrupted frames on a live link; exhausted retries
-  /// escalate to failover — which is what lets a batch complete BEFORE
-  /// the heartbeat verdict when a replica-holding node dies mid-stream.
+  /// The retry sweeper: one coordinator thread that hands every pending
+  /// submission's ledger the clock. Retries cover dropped/corrupted
+  /// frames on a live link; exhausted retries escalate to failover —
+  /// which is what lets a batch complete BEFORE the heartbeat verdict
+  /// when a replica-holding node dies mid-stream.
   void sweeper_loop() const {
     const auto backoff = std::chrono::microseconds(config_.retry_backoff_us);
     const auto tick = std::clamp<Clock::duration>(
@@ -886,137 +818,11 @@ class ClusterIndex : public Index {
     while (!stop_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(tick);
       if (stop_.load(std::memory_order_acquire)) return;
-      std::vector<std::shared_ptr<ClusterSubmission>> subs;
-      {
-        std::lock_guard lock(subs_mu_);
-        if (pending_.empty()) continue;
-        subs.reserve(pending_.size());
-        for (auto& [id, sub] : pending_) subs.push_back(sub);
-      }
-      for (const auto& sub : subs) {
+      for (const auto& sub : pending_snapshot()) {
         std::lock_guard lock(sub->chunk_mu);
-        const auto now = Clock::now();
-        for (Chunk& c : sub->chunks) {
-          if (c.done || now < c.next_retry) continue;
-          if (c.attempts <= config_.max_retries) {
-            // One more nudge at the same assignment.
-            ++c.attempts;
-            sub->retries += 1;
-            c.next_retry = now + backoff_after(c.attempts);
-            send_chunk(*sub, c);
-            continue;
-          }
-          // Retries exhausted: the assignment is suspect. Re-route to
-          // another live replica holder when one exists (hop-capped so
-          // two silent-but-alive nodes can't ping-pong a chunk
-          // forever); otherwise keep polling the sole owner at the
-          // backoff cap until the heartbeat verdict settles it.
-          const std::uint32_t target =
-              config_.failover && c.hops < config_.num_nodes
-                  ? pick_target(c.shard, c.node)
-                  : kNoFailure;
-          if (target != kNoFailure && target != c.node) {
-            c.node = target;
-            c.attempts = 1;
-            ++c.hops;
-            sub->failovers += 1;
-            c.next_retry = now + backoff_after(1);
-          } else {
-            sub->retries += 1;
-            c.next_retry = now + backoff_after(config_.max_retries + 1);
-          }
-          send_chunk(*sub, c);
-        }
+        sub->ledger.sweep(Clock::now(), pick_, sender(*sub));
       }
     }
-  }
-
-  // --- Re-join -------------------------------------------------------------
-
-  /// Tolerant receive for the re-join handshake: skips heartbeats and
-  /// corrupt frames, false on timeout/close/breach.
-  bool recv_rejoin_frame(std::uint32_t i, net::Frame* frame) const {
-    const auto deadline = Clock::now() + kRejoinTimeout;
-    for (;;) {
-      const auto now = Clock::now();
-      if (now >= deadline) return false;
-      std::string error;
-      switch (links_[i]->endpoint->recv(frame, deadline - now, &error)) {
-        case net::Endpoint::RecvResult::kFrame:
-          if (frame->header.msg_type() == net::MsgType::kHeartbeat) {
-            std::lock_guard lock(membership_mu_);
-            membership_.record_alive(i, Clock::now());
-            continue;
-          }
-          return true;
-        case net::Endpoint::RecvResult::kCorrupt:
-          continue;
-        case net::Endpoint::RecvResult::kTimeout:
-        case net::Endpoint::RecvResult::kClosed:
-        case net::Endpoint::RecvResult::kError:
-          return false;
-      }
-    }
-  }
-
-  bool send_rejoin_frame(std::uint32_t i, net::Frame frame,
-                         std::uint32_t epoch) const {
-    frame.header.epoch = epoch;
-    std::lock_guard lock(links_[i]->tx);
-    return links_[i]->endpoint->send(frame, kRejoinTimeout) ==
-           net::Endpoint::SendResult::kOk;
-  }
-
-  /// The DEAD -> JOINING -> ACK -> ALIVE ladder, walked again on the
-  /// fresh link: join handshake, shard re-scatter, build ack.
-  bool rejoin_handshake(std::uint32_t i, std::uint32_t epoch) const {
-    net::Frame frame;
-    if (!recv_rejoin_frame(i, &frame)) return false;
-    net::JoinRequestMsg request;
-    std::string error;
-    if (!net::decode_join_request(frame, &request, &error) ||
-        request.node_id != i)
-      return false;
-    {
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kJoining);
-      membership_.record_alive(i, Clock::now());
-    }
-    if (!send_rejoin_frame(i,
-                           net::encode_join_ack(net::kCoordinatorId,
-                                                {i, config_.num_nodes}),
-                           epoch))
-      return false;
-    if (!send_rejoin_frame(i,
-                           net::encode_node_config(net::kCoordinatorId,
-                                                   node_config_msg()),
-                           epoch))
-      return false;
-    {
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kAck);
-    }
-    // Re-scatter: the node's original shard assignment, re-shipped as
-    // the same chunked kBuildShard sequence the first build used.
-    bool sent_ok = true;
-    const std::uint32_t shards =
-        for_each_build_shard(i, [&](net::BuildShardMsg&& msg) {
-          sent_ok = sent_ok &&
-                    send_rejoin_frame(
-                        i, net::encode_build_shard(net::kCoordinatorId, msg),
-                        epoch);
-        });
-    if (!sent_ok) return false;
-    if (!recv_rejoin_frame(i, &frame)) return false;
-    net::BuildAckMsg ack;
-    if (!net::decode_build_ack(frame, &ack, &error)) return false;
-    {
-      std::lock_guard lock(membership_mu_);
-      membership_.transition(i, NodeStatus::kAlive);
-      membership_.record_alive(i, Clock::now());
-      membership_.set_shards(i, shards);
-    }
-    return true;
   }
 
   std::unique_ptr<Client> do_connect(
@@ -1030,6 +836,11 @@ class ClusterIndex : public Index {
   mutable std::vector<std::unique_ptr<NodePeer>> nodes_;
   std::shared_ptr<net::FaultController> controller_;  ///< null: no faults
   std::shared_ptr<RecoveryLedger> ledger_;
+  /// The ledger's routing callable, bound once.
+  const ChunkLedger::PickTarget pick_ =
+      [this](std::uint32_t shard, std::uint32_t exclude) {
+        return pick_target(shard, exclude);
+      };
   mutable std::mutex subs_mu_;
   mutable std::unordered_map<std::uint64_t,
                              std::shared_ptr<ClusterSubmission>>
@@ -1069,14 +880,15 @@ bool ClusterIndex::rejoin_node(std::uint32_t i) const {
   auto spawned = spawn_node(i, epoch);
   {
     // `dead` is still true, so no sender touches the endpoint while it
-    // is swapped; the handshake below is the link's only user until the
+    // is swapped; the admission below is the link's only user until the
     // node is ALIVE again.
     std::lock_guard lock(links_[i]->tx);
     links_[i]->endpoint = std::move(spawned.endpoint);
   }
   nodes_[i] = std::move(spawned.peer);
 
-  const bool ok = rejoin_handshake(i, epoch);
+  std::string why;
+  const bool ok = admit(i, i + 1, kRejoinTimeout, &why) == kNoNode;
   if (rearm) controller_->arm();
   if (!ok) {
     // Back to DEAD (legal from kJoining/kAck/kAlive; no-op from kDead).
@@ -1091,7 +903,7 @@ bool ClusterIndex::rejoin_node(std::uint32_t i) const {
     links_[i]->dead.store(false, std::memory_order_release);
   }
   receivers_[i] = std::thread([this, i] { receiver_loop(i); });
-  broadcast_cluster_info_tolerant();
+  broadcast_cluster_info();
   ledger_->rejoins.fetch_add(1, std::memory_order_relaxed);
   ledger_->recovery_ns.fetch_add(
       static_cast<std::uint64_t>(recovery.elapsed_ns()),
@@ -1107,12 +919,12 @@ class ClusterIndex::ClusterCompletion : public Client::Completion {
  public:
   ClusterCompletion(std::shared_ptr<ClusterSubmission> sub,
                     std::shared_ptr<RecoveryLedger> ledger,
-                    const ClusterConfig& config)
+                    std::uint64_t batch_bytes)
       : sub_(std::move(sub)), ledger_(std::move(ledger)),
-        num_nodes_(config.num_nodes), batch_bytes_(config.batch_bytes) {}
+        batch_bytes_(batch_bytes) {}
 
   bool ready() const override {
-    return sub_->done_flag.load(std::memory_order_acquire);
+    return sub_->done.load(std::memory_order_acquire);
   }
 
   RunReport await() override {
@@ -1120,7 +932,7 @@ class ClusterIndex::ClusterCompletion : public Client::Completion {
     sub.await_done();
     const std::uint32_t failed =
         sub.failed_node.load(std::memory_order_acquire);
-    if (failed != kNoFailure) {
+    if (failed != kNoNode) {
       throw NodeFailureError(
           failed, "cluster submission " + std::to_string(sub.id) +
                       " failed: node " + std::to_string(failed) +
@@ -1131,7 +943,7 @@ class ClusterIndex::ClusterCompletion : public Client::Completion {
     if (sub.delta != nullptr)
       sub.delta->correct(sub.query_copy, sub.out);
 
-    const std::uint32_t N = num_nodes_;
+    const auto N = static_cast<std::uint32_t>(sub.nodes.size());
     RunReport report;
     report.method = Method::kC3;
     report.num_queries = sub.num_queries;
@@ -1139,63 +951,60 @@ class ClusterIndex::ClusterCompletion : public Client::Completion {
     report.batch_bytes = batch_bytes_;
     report.raw_makespan = ns_to_ps(sub.wall_sec * 1e9);
     report.makespan = report.raw_makespan;
-    // Frames that actually left the coordinator — retries and failover
-    // re-sends included, so under faults messages > chunk count.
-    report.messages = sub.messages;
-    report.retries = sub.retries;
-    report.failovers = sub.failovers;
+    report.retries = sub.ledger.retries();
+    report.failovers = sub.ledger.failovers();
     // Re-join events are index-lifetime, harvested exactly once by the
     // first successful await after they happen (merge adds them up).
     report.rejoins = ledger_->rejoins.exchange(0, std::memory_order_acq_rel);
     report.recovery_ns =
         ledger_->recovery_ns.exchange(0, std::memory_order_acq_rel);
-    // Unlike ParallelNativeEngine (request hop only, to match the
-    // simulator), wire_bytes here is MEASURED traffic on both hops —
-    // these bytes actually crossed a transport.
-    std::uint64_t reply_bytes = 0;
-    std::uint64_t replies = 0;
-    for (std::uint32_t i = 0; i < N; ++i) {
-      reply_bytes += sub.node_reply_bytes[i];
-      replies += sub.node_replies[i];
-    }
-    report.wire_bytes = sub.wire_bytes + reply_bytes;
     report.nodes.resize(N + 1);
-    report.nodes[0].queries = sub.num_queries;
-    report.nodes[0].busy = ns_to_ps(sub.dispatch_sec * 1e9);
-    report.nodes[0].finish = report.raw_makespan;
-    report.nodes[0].idle = report.raw_makespan > report.nodes[0].busy
-                               ? report.raw_makespan - report.nodes[0].busy
-                               : 0;
-    report.nodes[0].nic.messages_sent = sub.messages;
-    report.nodes[0].nic.bytes_sent = sub.wire_bytes;
-    report.nodes[0].nic.messages_received = replies;
-    report.nodes[0].nic.bytes_received = reply_bytes;
+    NodeReport& coordinator = report.nodes[0];
+    coordinator.queries = sub.num_queries;
+    coordinator.busy = ns_to_ps(sub.dispatch_sec * 1e9);
+    coordinator.finish = report.raw_makespan;
+    coordinator.idle = report.raw_makespan > coordinator.busy
+                           ? report.raw_makespan - coordinator.busy
+                           : 0;
     double idle_sum = 0.0;
     for (std::uint32_t i = 0; i < N; ++i) {
+      const NodeTally& tally = sub.nodes[i];
       NodeReport& node = report.nodes[i + 1];
-      node.queries = sub.node_queries[i];
-      node.busy = sub.node_busy_ns[i] * 1000;  // ns -> ps
+      node.queries = tally.queries;
+      node.busy = tally.busy_ns * 1000;  // ns -> ps
       node.finish = report.raw_makespan;
       node.idle = report.raw_makespan > node.busy
                       ? report.raw_makespan - node.busy
                       : 0;
-      node.nic.messages_sent = sub.node_replies[i];
-      node.nic.bytes_sent = sub.node_reply_bytes[i];
-      node.nic.messages_received = sub.node_sent[i];
-      node.nic.bytes_received = sub.node_sent_bytes[i];
-      const double busy_sec = static_cast<double>(sub.node_busy_ns[i]) / 1e9;
+      node.nic.messages_sent = tally.replies;
+      node.nic.bytes_sent = tally.reply_bytes;
+      node.nic.messages_received = tally.sent;
+      node.nic.bytes_received = tally.sent_bytes;
+      // The coordinator is the other end of every node's traffic.
+      coordinator.nic.messages_sent += tally.sent;
+      coordinator.nic.bytes_sent += tally.sent_bytes;
+      coordinator.nic.messages_received += tally.replies;
+      coordinator.nic.bytes_received += tally.reply_bytes;
+      const double busy_sec = static_cast<double>(tally.busy_ns) / 1e9;
       if (sub.wall_sec > 0.0)
         idle_sum += std::max(0.0, 1.0 - busy_sec / sub.wall_sec);
+      report.latency_ns.merge(tally.latency);
     }
+    // Frames that actually left the coordinator — retries and failover
+    // re-sends included, so under faults messages > chunk count. Unlike
+    // ParallelNativeEngine (request hop only, to match the simulator),
+    // wire_bytes here is MEASURED traffic on both hops — these bytes
+    // actually crossed a transport.
+    report.messages = coordinator.nic.messages_sent;
+    report.wire_bytes =
+        coordinator.nic.bytes_sent + coordinator.nic.bytes_received;
     report.slave_idle_fraction = N > 0 ? idle_sum / N : 0.0;
-    for (Summary& s : sub.node_latency) report.latency_ns.merge(s);
     return report;
   }
 
  private:
   std::shared_ptr<ClusterSubmission> sub_;
   std::shared_ptr<RecoveryLedger> ledger_;
-  std::uint32_t num_nodes_;
   std::uint64_t batch_bytes_;
 };
 
@@ -1204,8 +1013,7 @@ std::unique_ptr<Client::Completion> ClusterIndex::submit_batch(
     const SubmitOptions& options) const {
   const std::uint32_t N = config_.num_nodes;
   auto sub = std::make_shared<ClusterSubmission>(
-      next_sub_id_.fetch_add(1, std::memory_order_relaxed), N,
-      config_.track_latency);
+      next_sub_id_.fetch_add(1, std::memory_order_relaxed), config_);
   if (out_ranks != nullptr) {
     out_ranks->assign(queries.size(), 0);
     sub->out = out_ranks->data();
@@ -1232,6 +1040,7 @@ std::unique_ptr<Client::Completion> ClusterIndex::submit_batch(
   const bool replicate = config_.placement == index::Placement::kReplicate;
   const std::uint32_t lanes = replicate ? N : partitioner_.parts();
   std::uint64_t round_robin = 0;
+  const ChunkLedger::SendChunk send = sender(*sub);
 
   sub->timer.start();
   WallTimer dispatch_timer;
@@ -1252,36 +1061,24 @@ std::unique_ptr<Client::Completion> ClusterIndex::submit_batch(
         msg.keys = std::move(batch.keys);
         msg.ids = std::move(batch.ids);
         std::lock_guard lock(sub->chunk_mu);
-        msg.chunk = static_cast<std::uint32_t>(sub->chunks.size());
-        Chunk& c = sub->chunks.emplace_back();
-        c.shard = msg.shard;
-        c.frame = net::encode_query_batch(net::kCoordinatorId, msg);
+        msg.chunk = static_cast<std::uint32_t>(sub->ledger.size());
+        Chunk& c = sub->ledger.add(
+            msg.shard, net::encode_query_batch(net::kCoordinatorId, msg));
         // Hold taken BEFORE the send so the countdown can never hit
         // zero while chunks are still being created; the submitter's
         // own hold keeps a failed first chunk from completing early.
         sub->outstanding.fetch_add(1, std::memory_order_relaxed);
-        const std::uint32_t target = pick_target(c.shard, kNoFailure);
-        if (target == kNoFailure) {
-          // No live holder for this shard: submitting into a grave.
-          fail_chunk(*sub, c,
-                     replicate ? 0 : node_of_shard(c.shard));
-          sub->finish(1);  // cannot complete: the submitter's hold is out
-          return;
-        }
-        c.node = target;
-        c.attempts = 1;
-        c.next_retry = Clock::now() + backoff_after(1);
-        send_chunk(*sub, c);
+        if (sub->ledger.dispatch(c, Clock::now(), pick_, send)) return;
+        // No live holder for this shard: submitting into a grave.
+        sub->record_failure(replicate ? 0 : node_of_shard(c.shard));
+        sub->finish(1);  // cannot complete: the submitter's hold is out
       });
   sub->dispatch_sec = dispatch_timer.elapsed_sec();
   // Release the submitter's hold; completes immediately on zero work
   // (or when every chunk was written off at submit time).
-  if (sub->finish(1)) {
-    std::lock_guard lock(subs_mu_);
-    pending_.erase(sub->id);
-  }
+  finish(*sub, 1);
   return std::make_unique<ClusterCompletion>(std::move(sub), ledger_,
-                                             config_);
+                                             config_.batch_bytes);
 }
 
 /// One master stream into the cluster. All the machinery lives in the
@@ -1312,19 +1109,17 @@ std::unique_ptr<Client> ClusterIndex::do_connect(
   return std::make_unique<ClusterClient>(std::move(self), this);
 }
 
-const ClusterIndex* as_cluster(const core::Index& index, const char* who) {
+/// `index` as a cluster index, with `node` in range (node 0 always is).
+const ClusterIndex* as_cluster(const core::Index& index, const char* who,
+                               std::uint32_t node = 0) {
   const auto* cluster = dynamic_cast<const ClusterIndex*>(&index);
   DICI_CHECK_FMT(cluster != nullptr,
                  "%s: index backend is %s, not a cluster index", who,
                  index.backend());
-  return cluster;
-}
-
-void check_node_range(const ClusterIndex& cluster, std::uint32_t node,
-                      const char* who) {
-  DICI_CHECK_FMT(node < cluster.config().num_nodes,
+  DICI_CHECK_FMT(node < cluster->config().num_nodes,
                  "%s: node %u out of range (cluster has %u nodes)", who, node,
-                 cluster.config().num_nodes);
+                 cluster->config().num_nodes);
+  return cluster;
 }
 
 }  // namespace
@@ -1335,22 +1130,15 @@ std::shared_ptr<const core::Index> ClusterEngine::build(
 }
 
 void cluster_kill_node_for_test(const core::Index& index, std::uint32_t node) {
-  const ClusterIndex* cluster =
-      as_cluster(index, "cluster_kill_node_for_test");
-  check_node_range(*cluster, node, "cluster_kill_node_for_test");
-  cluster->kill_node(node);
+  as_cluster(index, "cluster_kill_node_for_test", node)->kill_node(node);
 }
 
 bool cluster_rejoin_node(const core::Index& index, std::uint32_t node) {
-  const ClusterIndex* cluster = as_cluster(index, "cluster_rejoin_node");
-  check_node_range(*cluster, node, "cluster_rejoin_node");
-  return cluster->rejoin_node(node);
+  return as_cluster(index, "cluster_rejoin_node", node)->rejoin_node(node);
 }
 
 NodeStatus cluster_node_status(const core::Index& index, std::uint32_t node) {
-  const ClusterIndex* cluster = as_cluster(index, "cluster_node_status");
-  check_node_range(*cluster, node, "cluster_node_status");
-  return cluster->node_status(node);
+  return as_cluster(index, "cluster_node_status", node)->node_status(node);
 }
 
 std::vector<int> cluster_node_pids(const core::Index& index) {

@@ -33,7 +33,9 @@
 // re-sends with capped exponential backoff (max_retries, then failover)
 // until exactly one reply claims it — so dropped, delayed, duplicated,
 // and corrupted frames (see net/fault.hpp) all converge to a complete
-// batch with exact ranks. When a node dies outright:
+// batch with exact ranks. Those rules are one pure class, ChunkLedger
+// (chunk_ledger.hpp), tested without threads or sleeps. When a node
+// dies outright:
 //   * failover on  + a surviving replica holds the chunk's shard
 //     (always true under kReplicate) — the chunk is re-routed to a live
 //     holder and the batch completes with zero caller-visible errors;
@@ -42,10 +44,11 @@
 //     naming the node instead of hanging. Replies already scattered
 //     from live nodes are unaffected either way.
 // A node killed mid-batch (ClusterNode::kill) is indistinguishable from
-// a powered-off machine; cluster_rejoin_node re-admits it afterwards:
-// DEAD -> JOINING handshake on a FRESH link (epoch bumped, so stale
-// incarnations can never be mistaken for current traffic), shards
-// re-shipped via chunked kBuildShard, then back into routing rotation.
+// a powered-off machine; cluster_rejoin_node re-admits it afterwards
+// through the same admission ladder build uses: DEAD -> JOINING
+// handshake on a FRESH link (epoch bumped, so stale incarnations can
+// never be mistaken for current traffic), shards re-shipped via chunked
+// kBuildShard, then back into routing rotation.
 //
 // What stays coordinator-side: SubmitOptions::delta (rank corrections
 // are applied as a post-pass over the returned ranks, like

@@ -136,6 +136,21 @@ RunReport Engine::run(std::span<const key_t> index_keys,
 
 // --- Config validation ----------------------------------------------------
 
+void validate_retry_knobs(const char* owner, std::uint32_t max_retries,
+                          std::uint32_t retry_backoff_us) {
+  DICI_CHECK_FMT(max_retries <= 1000,
+                 "%s::max_retries = %u: beyond 1000 attempts the capped "
+                 "backoff makes retries pure polling — raise "
+                 "retry_backoff_us instead",
+                 owner, max_retries);
+  DICI_CHECK_FMT(
+      retry_backoff_us >= 100 && retry_backoff_us <= 10'000'000,
+      "%s::retry_backoff_us = %u: must be in [100, 10'000'000] — below "
+      "100us the retry sweeper outpaces any real transport, above 10s a "
+      "retry outlives the heartbeat verdict",
+      owner, retry_backoff_us);
+}
+
 void validate(const ExperimentConfig& config) {
   config.machine.validate();
   DICI_CHECK_FMT(config.num_nodes >= 2,
@@ -180,17 +195,8 @@ void validate(const ExperimentConfig& config) {
       "heartbeat_interval_ms = %u: the timeout must be at least twice the "
       "interval, or one delayed beat kills a healthy node",
       config.heartbeat_timeout_ms, config.heartbeat_interval_ms);
-  DICI_CHECK_FMT(config.max_retries <= 1000,
-                 "ExperimentConfig::max_retries = %u: beyond 1000 attempts "
-                 "the capped backoff makes retries pure polling — raise "
-                 "retry_backoff_us instead",
-                 config.max_retries);
-  DICI_CHECK_FMT(
-      config.retry_backoff_us >= 100 && config.retry_backoff_us <= 10'000'000,
-      "ExperimentConfig::retry_backoff_us = %u: must be in [100, 10'000'000] "
-      "— below 100us the retry sweeper outpaces any real transport, above "
-      "10s a retry outlives the heartbeat verdict",
-      config.retry_backoff_us);
+  validate_retry_knobs("ExperimentConfig", config.max_retries,
+                       config.retry_backoff_us);
   if (is_distributed(config.method)) {
     DICI_CHECK_FMT(config.num_masters >= 1,
                    "ExperimentConfig::num_masters = %u: Method C needs at "

@@ -307,6 +307,13 @@ class Engine {
 /// value) regardless of backend.
 void validate(const ExperimentConfig& config);
 
+/// The cluster retry-knob range check shared by validate() and the
+/// ClusterEngine constructor: max_retries <= 1000 and retry_backoff_us
+/// in [100, 10'000'000]. `owner` names the config type in the
+/// diagnostic ("ExperimentConfig", "ClusterConfig").
+void validate_retry_knobs(const char* owner, std::uint32_t max_retries,
+                          std::uint32_t retry_backoff_us);
+
 /// Aborts when the config requests knobs only the simulator implements
 /// (currently: non-default flush_policy) — silently running the default
 /// on a native backend would corrupt cross-backend comparisons. The

@@ -14,7 +14,7 @@
 // steal_threshold backlog — so skewed streams don't serialize on the
 // hot shard's worker.
 // Slaves resolve whole batches through index::resolve_batch — the
-// scalar branchless/prefetch kernels, the Eytzinger-layout kernels, or
+// scalar sorted-array kernels, the Eytzinger-layout kernel, or
 // the interleaved batch kernels that keep W cache misses in flight per
 // round — and scatter-merge results by query id, so the output array is
 // in query order without a sort; each id is written exactly once by

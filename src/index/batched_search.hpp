@@ -140,17 +140,9 @@ inline void resolve_batch(SearchKernel kernel,
       for (std::size_t j = 0; j < queries.size(); ++j)
         out[j] = branchless_upper_bound(sorted_keys, queries[j]);
       return;
-    case SearchKernel::kPrefetch:
-      for (std::size_t j = 0; j < queries.size(); ++j)
-        out[j] = prefetch_upper_bound(sorted_keys, queries[j]);
-      return;
     case SearchKernel::kEytzinger:
       for (std::size_t j = 0; j < queries.size(); ++j)
         out[j] = eytzinger_upper_bound(*layout, queries[j]);
-      return;
-    case SearchKernel::kEytzingerPrefetch:
-      for (std::size_t j = 0; j < queries.size(); ++j)
-        out[j] = eytzinger_prefetch_upper_bound(*layout, queries[j]);
       return;
     case SearchKernel::kBatchedBranchless:
       batched_branchless_upper_bound(sorted_keys, queries, out, width);

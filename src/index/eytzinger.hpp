@@ -80,7 +80,7 @@ class EytzingerLayout {
   std::vector<rank_t> ranks_{0};
 };
 
-/// How many levels ahead the eytzinger kernels prefetch: 16 descendants
+/// How many levels ahead batched-eytzinger prefetches: 16 descendants
 /// of slot k live in slots [k<<4, (k<<4)+15] — one aligned line.
 inline constexpr unsigned kEytzingerPrefetchLevels = 4;
 
@@ -94,25 +94,6 @@ inline rank_t eytzinger_upper_bound(const EytzingerLayout& layout, key_t q) {
   // Cancel the trailing right turns: what remains is the slot of the
   // last left turn (the smallest element > q), or 0 when there was none
   // (every element <= q; rank_of_slot(0) holds n).
-  k >>= std::countr_one(k) + 1;
-  return layout.rank_of_slot(k);
-}
-
-/// Same descent, prefetching the one line holding all descendants four
-/// levels down. The deep levels of an out-of-L2 partition are always
-/// misses; issuing the line fetch four rounds early hides most of it.
-inline rank_t eytzinger_prefetch_upper_bound(const EytzingerLayout& layout,
-                                             key_t q) {
-  const key_t* e = layout.slots();
-  const std::size_t n = layout.size();
-  std::size_t k = 1;
-  while (k <= n) {
-#if defined(__GNUC__) || defined(__clang__)
-    // Past-the-end addresses are fine: prefetch is a hint, never a fault.
-    __builtin_prefetch(e + (k << kEytzingerPrefetchLevels), 0, 1);
-#endif
-    k = 2 * k + (e[k] <= q);
-  }
   k >>= std::countr_one(k) + 1;
   return layout.rank_of_slot(k);
 }

@@ -9,13 +9,12 @@
 // covers both regimes; all entries are exact drop-in replacements for
 // std::upper_bound:
 //
-//  * branchless_upper_bound — conditional-move "halving" search; the
-//    compiler emits cmov, the pipeline never flushes.
-//  * prefetch_upper_bound  — branchless + software prefetch of both
-//    possible next probe lines; helps once the partition outgrows L2
-//    (the regime Method A lives in and C-3 avoids).
-//  * eytzinger kernels (eytzinger.hpp) — the BFS layout puts a node's
-//    children adjacent, so one prefetch grabs four levels of descent.
+//  * branchless_upper_bound — the "halving" search, written as a
+//    select so it could compile to cmov. GCC 12 at -O2 emits a
+//    data-dependent jb/ja/jbe instead (no cmov; check with g++ -S), so
+//    today it still mispredicts.
+//  * eytzinger_upper_bound (eytzinger.hpp) — the BFS layout puts a
+//    node's children adjacent, so the top levels share a few lines.
 //  * interleaved batch kernels (batched_search.hpp) — advance W
 //    independent searches in lockstep so W cache misses are in flight
 //    at once instead of serializing.
@@ -37,16 +36,14 @@ namespace dici::index {
 
 /// Which exact upper_bound kernel a native slave runs on its shard. All
 /// of them return identical ranks for identical inputs; they differ only
-/// in speed. The kStd/kBranchless/kPrefetch trio works a sorted array
-/// one query at a time; the kEytzinger pair works the BFS-reordered copy
-/// (eytzinger.hpp); the kBatched pair interleaves W queries in lockstep
-/// over the respective layout (batched_search.hpp).
+/// in speed. kStd/kBranchless work a sorted array one query at a time;
+/// kEytzinger works the BFS-reordered copy (eytzinger.hpp); the kBatched
+/// pair interleaves W queries in lockstep over the respective layout
+/// (batched_search.hpp).
 enum class SearchKernel {
   kStdUpperBound,
   kBranchless,
-  kPrefetch,
   kEytzinger,
-  kEytzingerPrefetch,
   kBatchedBranchless,
   kBatchedEytzinger,
 };
@@ -56,10 +53,9 @@ enum class SearchKernel {
 /// built alongside it when an eytzinger kernel is configured.
 enum class KeyLayout { kSorted, kEytzinger };
 
-inline constexpr std::array<SearchKernel, 7> kAllSearchKernels = {
+inline constexpr std::array<SearchKernel, 5> kAllSearchKernels = {
     SearchKernel::kStdUpperBound,     SearchKernel::kBranchless,
-    SearchKernel::kPrefetch,          SearchKernel::kEytzinger,
-    SearchKernel::kEytzingerPrefetch, SearchKernel::kBatchedBranchless,
+    SearchKernel::kEytzinger,         SearchKernel::kBatchedBranchless,
     SearchKernel::kBatchedEytzinger,
 };
 
@@ -74,9 +70,7 @@ constexpr bool search_kernel_valid(SearchKernel kernel) {
   switch (kernel) {
     case SearchKernel::kStdUpperBound:
     case SearchKernel::kBranchless:
-    case SearchKernel::kPrefetch:
     case SearchKernel::kEytzinger:
-    case SearchKernel::kEytzingerPrefetch:
     case SearchKernel::kBatchedBranchless:
     case SearchKernel::kBatchedEytzinger:
       return true;
@@ -88,9 +82,7 @@ constexpr const char* search_kernel_name(SearchKernel kernel) {
   switch (kernel) {
     case SearchKernel::kStdUpperBound: return "std-upper-bound";
     case SearchKernel::kBranchless: return "branchless";
-    case SearchKernel::kPrefetch: return "prefetch";
     case SearchKernel::kEytzinger: return "eytzinger";
-    case SearchKernel::kEytzingerPrefetch: return "eytzinger-prefetch";
     case SearchKernel::kBatchedBranchless: return "batched-branchless";
     case SearchKernel::kBatchedEytzinger: return "batched-eytzinger";
   }
@@ -100,7 +92,6 @@ constexpr const char* search_kernel_name(SearchKernel kernel) {
 constexpr KeyLayout kernel_layout(SearchKernel kernel) {
   switch (kernel) {
     case SearchKernel::kEytzinger:
-    case SearchKernel::kEytzingerPrefetch:
     case SearchKernel::kBatchedEytzinger:
       return KeyLayout::kEytzinger;
     default:
@@ -142,39 +133,18 @@ inline bool parse_search_kernel(const std::string& name, SearchKernel* out) {
   return false;
 }
 
-/// Index of the first element > q, computed without data-dependent
-/// branches. Exactly std::upper_bound's answer on sorted input.
+/// Index of the first element > q: a fixed-trip halving loop. Exactly
+/// std::upper_bound's answer on sorted input.
 inline rank_t branchless_upper_bound(std::span<const key_t> keys, key_t q) {
   const key_t* base = keys.data();
   std::size_t n = keys.size();
   while (n > 1) {
     const std::size_t half = n / 2;
-    // cmov: advance past the lower half iff its boundary element is <= q.
+    // Advance past the lower half iff its boundary element is <= q.
     base = (base[half - 1] <= q) ? base + half : base;
     n -= half;
   }
   // One element left; account for it, and for the empty-input case.
-  const std::size_t pos =
-      static_cast<std::size_t>(base - keys.data()) +
-      (n == 1 && *base <= q ? 1 : 0);
-  return static_cast<rank_t>(pos);
-}
-
-/// Branchless search with software prefetch two levels ahead. Identical
-/// results; faster when the array misses in cache.
-inline rank_t prefetch_upper_bound(std::span<const key_t> keys, key_t q) {
-  const key_t* base = keys.data();
-  std::size_t n = keys.size();
-  while (n > 1) {
-    const std::size_t half = n / 2;
-#if defined(__GNUC__) || defined(__clang__)
-    // Both candidate midpoints of the *next* iteration.
-    __builtin_prefetch(base + half / 2, 0, 1);
-    __builtin_prefetch(base + half + (n - half) / 2, 0, 1);
-#endif
-    base = (base[half - 1] <= q) ? base + half : base;
-    n -= half;
-  }
   const std::size_t pos =
       static_cast<std::size_t>(base - keys.data()) +
       (n == 1 && *base <= q ? 1 : 0);

@@ -683,6 +683,21 @@ TEST(ClusterEngineDeath, RejectsClusterIncompatibleConfigs) {
     EXPECT_DEATH(ClusterEngine{cfg}, "retry_backoff_us");
   }
   {
+    // The same range validate(ExperimentConfig) enforces: below 100us
+    // the sweeper re-sends every outstanding chunk on every tick.
+    ClusterConfig cfg;
+    cfg.retry_backoff_us = 50;
+    EXPECT_DEATH(ClusterEngine{cfg}, "ClusterConfig::retry_backoff_us = 50");
+    cfg.retry_backoff_us = 20'000'000;
+    EXPECT_DEATH(ClusterEngine{cfg},
+                 "ClusterConfig::retry_backoff_us = 20000000");
+  }
+  {
+    ClusterConfig cfg;
+    cfg.max_retries = 1001;
+    EXPECT_DEATH(ClusterEngine{cfg}, "ClusterConfig::max_retries = 1001");
+  }
+  {
     ExperimentConfig cfg;
     cfg.machine = arch::pentium3_cluster();
     cfg.method = Method::kA;  // replicated tree: not a cluster method

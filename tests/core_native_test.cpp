@@ -1,8 +1,7 @@
-// Native-engine and public-facade tests: the threaded implementations
+// Native-engine tests: the threaded implementations
 // must agree bit-for-bit with std::upper_bound, like the simulator.
 #include <gtest/gtest.h>
 
-#include "src/core/distributed_index.hpp"
 #include "src/core/native_engine.hpp"
 #include "src/util/bytes.hpp"
 #include "src/util/rng.hpp"
@@ -88,60 +87,6 @@ TEST(NativeCluster, TinyBatches) {
   NativeCluster(cfg).run(fx.keys, std::span(fx.queries.data(), 500), &ranks);
   for (std::size_t i = 0; i < 500; ++i)
     ASSERT_EQ(ranks[i], fx.expected[i]);
-}
-
-TEST(DistributedIndex, SortsAndDeduplicates) {
-  DistributedInCacheIndex index({5, 3, 3, 1, 5}, 2);
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.lookup(0), 0u);
-  EXPECT_EQ(index.lookup(1), 1u);
-  EXPECT_EQ(index.lookup(3), 2u);
-  EXPECT_EQ(index.lookup(4), 2u);
-  EXPECT_EQ(index.lookup(5), 3u);
-}
-
-TEST(DistributedIndex, ContainsExactKeysOnly) {
-  DistributedInCacheIndex index({10, 20, 30}, 2);
-  EXPECT_TRUE(index.contains(10));
-  EXPECT_TRUE(index.contains(30));
-  EXPECT_FALSE(index.contains(11));
-  EXPECT_FALSE(index.contains(0));
-}
-
-TEST(DistributedIndex, RouteAgreesWithPartitioner) {
-  Rng rng(5);
-  auto keys = workload::make_sorted_unique_keys(10000, rng);
-  DistributedInCacheIndex index(keys, 8);
-  for (int i = 0; i < 1000; ++i) {
-    const key_t q = static_cast<key_t>(rng.next());
-    EXPECT_EQ(index.route(q), index.partitioner().route(q));
-  }
-}
-
-TEST(DistributedIndex, LookupBatchMatchesReference) {
-  Rng rng(6);
-  auto keys = workload::make_sorted_unique_keys(30000, rng);
-  const auto queries = workload::make_uniform_queries(50000, rng);
-  const auto expected = workload::reference_ranks(
-      std::span<const key_t>(keys), queries);
-  DistributedInCacheIndex index(std::move(keys), 6);
-  EXPECT_EQ(index.lookup_batch(queries), expected);
-}
-
-TEST(DistributedIndex, PartitionsForCache) {
-  EXPECT_EQ(DistributedInCacheIndex::partitions_for_cache(1000, MiB), 1u);
-  // 327,680 keys x 4 B = 1.25 MB over 512 KB caches -> 3 partitions.
-  EXPECT_EQ(
-      DistributedInCacheIndex::partitions_for_cache(327680, 512 * KiB), 3u);
-  EXPECT_EQ(DistributedInCacheIndex::partitions_for_cache(1 << 23, 512 * KiB),
-            64u);
-}
-
-TEST(DistributedIndex, SingleKeyIndex) {
-  DistributedInCacheIndex index({42}, 1);
-  EXPECT_EQ(index.lookup(41), 0u);
-  EXPECT_EQ(index.lookup(42), 1u);
-  EXPECT_TRUE(index.contains(42));
 }
 
 }  // namespace

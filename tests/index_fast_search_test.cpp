@@ -18,14 +18,12 @@ rank_t reference(std::span<const key_t> keys, key_t q) {
 TEST(FastSearch, EmptyArray) {
   const std::span<const key_t> empty;
   EXPECT_EQ(branchless_upper_bound(empty, 5), 0u);
-  EXPECT_EQ(prefetch_upper_bound(empty, 5), 0u);
 }
 
 TEST(FastSearch, SingleElement) {
   const std::vector<key_t> keys{10};
   for (const key_t q : {0u, 9u, 10u, 11u, 0xFFFFFFFFu}) {
     EXPECT_EQ(branchless_upper_bound(keys, q), reference(keys, q)) << q;
-    EXPECT_EQ(prefetch_upper_bound(keys, q), reference(keys, q)) << q;
   }
 }
 
@@ -33,7 +31,6 @@ TEST(FastSearch, ExhaustiveSmall) {
   const std::vector<key_t> keys{2, 4, 4 + 2, 8, 16, 32, 33};
   for (key_t q = 0; q < 40; ++q) {
     ASSERT_EQ(branchless_upper_bound(keys, q), reference(keys, q)) << q;
-    ASSERT_EQ(prefetch_upper_bound(keys, q), reference(keys, q)) << q;
   }
 }
 
@@ -46,12 +43,10 @@ TEST_P(FastSearchSizes, MatchesStdUpperBound) {
     const key_t q = static_cast<key_t>(rng.next());
     const rank_t expected = reference(keys, q);
     ASSERT_EQ(branchless_upper_bound(keys, q), expected);
-    ASSERT_EQ(prefetch_upper_bound(keys, q), expected);
   }
   // Boundary probes at the stored keys.
   for (std::size_t i = 0; i < keys.size(); i += keys.size() / 64 + 1) {
     ASSERT_EQ(branchless_upper_bound(keys, keys[i]), reference(keys, keys[i]));
-    ASSERT_EQ(prefetch_upper_bound(keys, keys[i]), reference(keys, keys[i]));
   }
 }
 
@@ -63,7 +58,6 @@ TEST(FastSearch, ExtremeValues) {
   const std::vector<key_t> keys{0, 1, 0xFFFFFFFEu, 0xFFFFFFFFu};
   for (const key_t q : {0u, 1u, 2u, 0xFFFFFFFEu, 0xFFFFFFFFu}) {
     EXPECT_EQ(branchless_upper_bound(keys, q), reference(keys, q)) << q;
-    EXPECT_EQ(prefetch_upper_bound(keys, q), reference(keys, q)) << q;
   }
 }
 
