@@ -20,6 +20,8 @@
 //        queueing delay takes over and the curve goes vertical);
 //      - MAX LOAD UNDER SLO: the highest offered load whose p99 meets
 //        the --slo-us budget — the number a capacity planner wants.
+//    Only points the backend kept up with (achieved >= 95 % of offered)
+//    count toward either (workload::find_serving_capacity).
 //
 // The binary exits non-zero if any backend produces a non-finite p99 or
 // the knee finder fails to return a load point, so CI's bench-smoke can
@@ -55,9 +57,7 @@ struct BackendCurve {
   std::string backend;
   double peak_qps = 0;
   std::vector<LoadPoint> points;
-  double knee_offered_qps = 0;  // 0 = knee finder failed
-  double knee_p99_us = 0;
-  double max_load_under_slo_qps = 0;  // 0 = no point met the SLO
+  workload::ServingCapacity capacity;  // knee 0 = knee finder failed
 };
 
 /// Closed-loop peak: stream every query through in `round_keys` slices
@@ -192,22 +192,11 @@ int main(int argc, char** argv) {
       curve.points.push_back(p);
     }
 
-    // Knee: best (lowest) p99 anywhere on the curve sets the baseline;
-    // the knee is the highest offered load still within knee_factor of
-    // it. The baseline point itself always qualifies, so a finite curve
-    // always yields a knee.
-    double best_p99 = curve.points.front().p99_us;
-    for (const auto& p : curve.points) best_p99 = std::min(best_p99, p.p99_us);
-    for (const auto& p : curve.points) {
-      if (std::isfinite(p.p99_us) && p.p99_us <= knee_factor * best_p99 &&
-          p.offered_qps > curve.knee_offered_qps) {
-        curve.knee_offered_qps = p.offered_qps;
-        curve.knee_p99_us = p.p99_us;
-      }
-      if (std::isfinite(p.p99_us) && p.p99_us <= slo_us)
-        curve.max_load_under_slo_qps =
-            std::max(curve.max_load_under_slo_qps, p.offered_qps);
-    }
+    std::vector<workload::LoadPointSummary> summary;
+    for (const auto& p : curve.points)
+      summary.push_back({p.offered_qps, p.achieved_qps, p.p99_us});
+    curve.capacity =
+        workload::find_serving_capacity(summary, knee_factor, slo_us);
     curves.push_back(std::move(curve));
   }
 
@@ -226,8 +215,9 @@ int main(int argc, char** argv) {
     t.print();
     std::printf("  knee: %.2f Mqps (p99 %.1f us, <= %.1fx best)   "
                 "max load under %.0f us SLO: %.2f Mqps\n\n",
-                curve.knee_offered_qps / 1e6, curve.knee_p99_us, knee_factor,
-                slo_us, curve.max_load_under_slo_qps / 1e6);
+                curve.capacity.knee_offered_qps / 1e6,
+                curve.capacity.knee_p99_us, knee_factor, slo_us,
+                curve.capacity.max_load_under_slo_qps / 1e6);
   }
   std::printf(
       "  Reading: below the knee, p99 is set by the batcher deadline and\n"
@@ -254,8 +244,9 @@ int main(int argc, char** argv) {
                     "\"knee_offered_qps\": %.9g, \"knee_p99_us\": %.9g, "
                     "\"max_load_under_slo_qps\": %.9g, \"points\": [\n",
                     curve.backend.c_str(), curve.peak_qps,
-                    curve.knee_offered_qps, curve.knee_p99_us,
-                    curve.max_load_under_slo_qps);
+                    curve.capacity.knee_offered_qps,
+                    curve.capacity.knee_p99_us,
+                    curve.capacity.max_load_under_slo_qps);
       json += buf;
       for (std::size_t i = 0; i < curve.points.size(); ++i) {
         const auto& p = curve.points[i];
@@ -298,9 +289,10 @@ int main(int argc, char** argv) {
                      curve.backend.c_str(), p.offered_qps);
         ++failures;
       }
-    if (!(curve.knee_offered_qps > 0)) {
-      std::fprintf(stderr, "GATE: %s knee finder returned no load point\n",
-                   curve.backend.c_str());
+    if (!(curve.capacity.knee_offered_qps > 0)) {
+      std::fprintf(stderr, "GATE: %s knee finder returned no load point "
+                   "(none served >= %.0f%% of its offered rate)\n",
+                   curve.backend.c_str(), workload::kServedFraction * 100);
       ++failures;
     }
   }

@@ -102,7 +102,7 @@ struct ExperimentConfig {
   /// with (see index/fast_search.hpp for the menu). Never changes a
   /// result, only native wall time; the simulator's cost model already
   /// abstracts comparator behaviour, so its reports ignore it.
-  SearchKernel kernel = SearchKernel::kBranchless;
+  SearchKernel kernel = index::kDefaultSearchKernel;
   /// Where ParallelNativeEngine lays each shard's key copies relative
   /// to the NUMA node of the workers probing them (index/placement.hpp
   /// for the menu; machine.numa_nodes picks real vs simulated

@@ -32,7 +32,7 @@ struct NativeConfig {
   /// Exact upper_bound kernel the C-3 slaves resolve batches with (the
   /// tree methods ignore it). Eytzinger kernels lay out each slave's
   /// partition in BFS order before the stream starts.
-  SearchKernel kernel = SearchKernel::kBranchless;
+  SearchKernel kernel = index::kDefaultSearchKernel;
   /// Fill RunReport::latency_ns with measured wall-clock response times.
   /// This backend resolves a submission synchronously, so every query in
   /// it is charged the whole batch's wall time (batch granularity); see

@@ -70,7 +70,7 @@ struct ParallelConfig {
   /// Pin worker w to a core of its NUMA node (best-effort; targets come
   /// from the allowed cpuset, never the raw online count).
   bool pin_threads = true;
-  SearchKernel kernel = SearchKernel::kBranchless;
+  SearchKernel kernel = index::kDefaultSearchKernel;
   /// Queries the interleaved (batched-*) kernels advance in lockstep —
   /// the number of cache misses kept in flight per worker. Ignored by
   /// the scalar kernels; must be in [2, index::kMaxInterleave].

@@ -42,13 +42,17 @@ namespace dici::index {
 
 /// Interleaved branchless upper_bound over the SORTED layout: W lanes
 /// halve in lockstep, each round prefetching every lane's boundary
-/// element before any lane's cmov consumes it.
+/// element before any lane's arithmetic select consumes it.
 inline void batched_branchless_upper_bound(std::span<const key_t> keys,
                                            std::span<const key_t> queries,
                                            rank_t* out, std::uint32_t width) {
   width = std::clamp<std::uint32_t>(width, 1, kMaxInterleave);
   const key_t* data = keys.data();
   const std::size_t total = queries.size();
+  if (keys.empty()) {
+    std::fill_n(out, total, rank_t{0});
+    return;
+  }
   for (std::size_t g = 0; g < total; g += width) {
     const std::uint32_t m =
         static_cast<std::uint32_t>(std::min<std::size_t>(width, total - g));
@@ -62,14 +66,15 @@ inline void batched_branchless_upper_bound(std::span<const key_t> keys,
         __builtin_prefetch(base[i] + half - 1, 0, 1);
 #endif
       for (std::uint32_t i = 0; i < m; ++i)
-        base[i] = (base[i][half - 1] <= queries[g + i]) ? base[i] + half
-                                                        : base[i];
+        base[i] += static_cast<std::size_t>(base[i][half - 1] <=
+                                            queries[g + i]) *
+                   half;
       n -= half;
     }
     for (std::uint32_t i = 0; i < m; ++i)
       out[g + i] = static_cast<rank_t>(
           static_cast<std::size_t>(base[i] - data) +
-          (n == 1 && *base[i] <= queries[g + i] ? 1 : 0));
+          static_cast<std::size_t>(*base[i] <= queries[g + i]));
   }
 }
 
@@ -114,9 +119,11 @@ inline void batched_eytzinger_upper_bound(const EytzingerLayout& layout,
 
 /// Resolve one whole message against one partition with the configured
 /// kernel: the single probe seam shared by the parallel engine's worker
-/// loop and the native cluster's C-3 slaves. `layout` is required (and
-/// only consulted) for the eytzinger-layout kernels; `sorted_keys` is
-/// required for the sorted-layout ones. Ranks land in `out` in query
+/// loop, the native cluster's C-3 slaves and the cluster nodes. Both
+/// sorted-layout kernels step with an arithmetic select (no branch on a
+/// key); the default, batched-branchless, runs W of them interleaved.
+/// `layout` is required (and only consulted) for the eytzinger-layout
+/// kernels; `sorted_keys` is required for the sorted-layout ones. Ranks land in `out` in query
 /// order, exactly std::upper_bound's answers.
 inline void resolve_batch(SearchKernel kernel,
                           std::span<const key_t> sorted_keys,

@@ -9,15 +9,28 @@
 // covers both regimes; all entries are exact drop-in replacements for
 // std::upper_bound:
 //
-//  * branchless_upper_bound — the "halving" search, written as a
-//    select so it could compile to cmov. GCC 12 at -O2 emits a
-//    data-dependent jb/ja/jbe instead (no cmov; check with g++ -S), so
-//    today it still mispredicts.
+//  * branchless_upper_bound — the "halving" search with a fixed trip
+//    count. Each step is an arithmetic select,
+//    `base += size_t(base[half - 1] <= q) * half`, which GCC and Clang
+//    compile to setcc + imul: no branch depends on a loaded key. (The
+//    ternary spelling compiled to a data-dependent jb on GCC 12.)
 //  * eytzinger_upper_bound (eytzinger.hpp) — the BFS layout puts a
 //    node's children adjacent, so the top levels share a few lines.
 //  * interleaved batch kernels (batched_search.hpp) — advance W
 //    independent searches in lockstep so W cache misses are in flight
-//    at once instead of serializing.
+//    at once instead of serializing. batched-branchless is the same
+//    select over the sorted copy, W lanes at a time.
+//
+// The codegen guard (tests/codegen/check_branchless.py, ctest
+// codegen_branchless_probe) compiles both sorted kernels at -O2 and -O3
+// and fails if a conditional jump tests a compare that reads memory.
+//
+// kDefaultSearchKernel is batched-branchless: every native backend
+// resolves a whole message at a time, the sorted copy it probes is
+// always built, and on shards of ~1 MB and up (Method C-3's
+// cache-sized shards on a 2 MiB L2) the interleaved select runs about
+// twice as fast as the scalar one (README, "Search kernels and
+// layouts").
 //
 // These are native-only (no probe instrumentation): the simulator charges
 // comparisons via the machine's hot_compare constant, which already
@@ -58,6 +71,11 @@ inline constexpr std::array<SearchKernel, 5> kAllSearchKernels = {
     SearchKernel::kEytzinger,         SearchKernel::kBatchedBranchless,
     SearchKernel::kBatchedEytzinger,
 };
+
+/// The kernel every native backend's config starts with (ExperimentConfig,
+/// ParallelConfig, NativeConfig, ClusterConfig, an unconfigured node).
+inline constexpr SearchKernel kDefaultSearchKernel =
+    SearchKernel::kBatchedBranchless;
 
 inline std::span<const SearchKernel> all_search_kernels() {
   return kAllSearchKernels;
@@ -134,21 +152,21 @@ inline bool parse_search_kernel(const std::string& name, SearchKernel* out) {
 }
 
 /// Index of the first element > q: a fixed-trip halving loop. Exactly
-/// std::upper_bound's answer on sorted input.
+/// std::upper_bound's answer on sorted input. The step is arithmetic,
+/// not a ternary, so no branch depends on a loaded key.
 inline rank_t branchless_upper_bound(std::span<const key_t> keys, key_t q) {
+  if (keys.empty()) return 0;
   const key_t* base = keys.data();
   std::size_t n = keys.size();
   while (n > 1) {
     const std::size_t half = n / 2;
     // Advance past the lower half iff its boundary element is <= q.
-    base = (base[half - 1] <= q) ? base + half : base;
+    base += static_cast<std::size_t>(base[half - 1] <= q) * half;
     n -= half;
   }
-  // One element left; account for it, and for the empty-input case.
-  const std::size_t pos =
-      static_cast<std::size_t>(base - keys.data()) +
-      (n == 1 && *base <= q ? 1 : 0);
-  return static_cast<rank_t>(pos);
+  // One element left; count it if it is <= q.
+  return static_cast<rank_t>(static_cast<std::size_t>(base - keys.data()) +
+                             static_cast<std::size_t>(*base <= q));
 }
 
 }  // namespace dici::index

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <thread>
 
@@ -158,6 +160,31 @@ ServingResult run_open_loop(core::Client& client,
           ? static_cast<double>(result.num_queries) / result.wall_seconds
           : 0;
   return result;
+}
+
+ServingCapacity find_serving_capacity(
+    std::span<const LoadPointSummary> points, double knee_factor,
+    double slo_us) {
+  const auto served = [](const LoadPointSummary& p) {
+    return std::isfinite(p.p99_us) &&
+           p.achieved_qps >= kServedFraction * p.offered_qps;
+  };
+  double best_p99 = std::numeric_limits<double>::infinity();
+  for (const auto& p : points)
+    if (served(p)) best_p99 = std::min(best_p99, p.p99_us);
+  ServingCapacity capacity;
+  for (const auto& p : points) {
+    if (!served(p)) continue;
+    if (p.p99_us <= knee_factor * best_p99 &&
+        p.offered_qps > capacity.knee_offered_qps) {
+      capacity.knee_offered_qps = p.offered_qps;
+      capacity.knee_p99_us = p.p99_us;
+    }
+    if (p.p99_us <= slo_us)
+      capacity.max_load_under_slo_qps =
+          std::max(capacity.max_load_under_slo_qps, p.offered_qps);
+  }
+  return capacity;
 }
 
 ServingConfig serving_config_from(const ScenarioSpec& spec) {

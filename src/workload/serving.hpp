@@ -83,6 +83,35 @@ ServingResult run_open_loop(core::Client& client,
                             std::span<const key_t> queries,
                             const ServingConfig& config);
 
+/// One measured point of a latency-vs-offered-load curve.
+struct LoadPointSummary {
+  double offered_qps = 0;
+  double achieved_qps = 0;
+  double p99_us = 0;
+};
+
+/// Serving capacity read off a load curve; 0 where no point qualifies.
+struct ServingCapacity {
+  /// Highest offered load whose p99 stays within knee_factor x the best
+  /// p99 on the curve (past it, queueing delay takes over).
+  double knee_offered_qps = 0;
+  double knee_p99_us = 0;
+  /// Highest offered load whose p99 meets the SLO budget.
+  double max_load_under_slo_qps = 0;
+};
+
+/// Share of its offered rate a point must achieve to count toward the
+/// knee or the SLO load: a point that fell further behind was not
+/// served at that rate, whatever its p99 says.
+inline constexpr double kServedFraction = 0.95;
+
+/// Knee and max load under SLO of one curve. Only points with a finite
+/// p99 and achieved_qps >= kServedFraction x offered_qps count, for the
+/// best-p99 baseline too. Pure: no clock, no engine.
+ServingCapacity find_serving_capacity(
+    std::span<const LoadPointSummary> points, double knee_factor,
+    double slo_us);
+
 /// Derive a ServingConfig from a registry spec (scenario.hpp): the
 /// spec's arrival process and offered_qps become the OpenLoopSpec (seed
 /// salted away from the index/query draws), batch_max_keys mirrors the

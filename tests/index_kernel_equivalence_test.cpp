@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/cluster/cluster_engine.hpp"
+#include "src/core/native_engine.hpp"
+#include "src/core/parallel_engine.hpp"
 #include "src/index/eytzinger.hpp"
 #include "src/index/fast_search.hpp"
 #include "src/index/partitioner.hpp"
@@ -127,8 +130,32 @@ TEST(KernelEquivalence, EveryInterleaveWidthClass) {
   // 1005 queries: never a multiple of any width, so the tail group is
   // always ragged (m < W) — the lane-clamp path.
   const auto queries = workload::make_uniform_queries(1005, rng);
-  for (const std::uint32_t width : {2u, 3u, 8u, 16u, kMaxInterleave})
+  // Width 1: a node takes any width >= 1 from kNodeConfig.
+  for (const std::uint32_t width : {1u, 2u, 3u, 8u, 16u, kMaxInterleave})
     expect_all_kernels_agree(keys, queries, width);
+}
+
+TEST(KernelEquivalence, NodeMessageAtWorkloadShardSizes) {
+  // 5461 queries (a 64 KiB round split three ways): never a multiple of
+  // W, over the shard sizes of a 1 Mi-key index cut 3 and 2 ways.
+  for (const std::size_t n : {std::size_t{349525}, std::size_t{524288}}) {
+    Rng rng(n);
+    const auto keys = workload::make_sorted_unique_keys(n, rng);
+    const auto queries = workload::make_uniform_queries(5461, rng);
+    expect_all_kernels_agree(keys, queries);
+  }
+}
+
+// --- One default kernel ----------------------------------------------------
+
+TEST(DefaultKernel, EveryConfigStartsWithTheSharedDefault) {
+  EXPECT_EQ(kDefaultSearchKernel, SearchKernel::kBatchedBranchless);
+  EXPECT_EQ(core::ExperimentConfig{}.kernel, kDefaultSearchKernel);
+  EXPECT_EQ(core::ParallelConfig{}.kernel, kDefaultSearchKernel);
+  EXPECT_EQ(core::NativeConfig{}.kernel, kDefaultSearchKernel);
+  EXPECT_EQ(cluster::ClusterConfig{}.kernel, kDefaultSearchKernel);
+  EXPECT_EQ(workload::MatrixOptions{}.kernels,
+            std::vector<SearchKernel>{kDefaultSearchKernel});
 }
 
 // --- Eytzinger layout invariants ------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "src/core/parallel_engine.hpp"
@@ -122,6 +123,54 @@ TEST(Serving, ConfigFromScenarioSpecCarriesTheKnobs) {
   EXPECT_EQ(config.arrivals.num_queries, 4096u);
   EXPECT_EQ(config.batch_max_keys, 8192 / sizeof(key_t));
   EXPECT_NE(config.arrivals.seed, spec.seed);  // decorrelated from draws
+}
+
+// --- Knee / SLO selection on hand-built curves ----------------------------
+
+TEST(ServingCapacity, PointThatFellBehindIsNotCredited) {
+  // Offered 3.68 Mqps but achieved 2.57 (70 %): its p99 is within the
+  // knee factor and the SLO, yet it was never served at that rate.
+  const std::vector<LoadPointSummary> curve{
+      {1.0e6, 1.0e6, 400}, {2.0e6, 1.99e6, 600}, {3.68e6, 2.57e6, 900}};
+  const auto capacity = find_serving_capacity(curve, 3.0, 5000);
+  EXPECT_DOUBLE_EQ(capacity.knee_offered_qps, 2.0e6);
+  EXPECT_DOUBLE_EQ(capacity.knee_p99_us, 600);
+  EXPECT_DOUBLE_EQ(capacity.max_load_under_slo_qps, 2.0e6);
+}
+
+TEST(ServingCapacity, ServedPointsSetKneeAndSloSeparately) {
+  // Best p99 is 100 us; with factor 3 the knee stops at 300 us, while
+  // the 2 ms SLO admits the 1500 us point. Exactly 95 % counts.
+  const std::vector<LoadPointSummary> curve{{1e5, 1e5, 100},
+                                            {2e5, 2e5, 250},
+                                            {3e5, 0.95 * 3e5, 1500},
+                                            {4e5, 4e5, 9000}};
+  const auto capacity = find_serving_capacity(curve, 3.0, 2000);
+  EXPECT_DOUBLE_EQ(capacity.knee_offered_qps, 2e5);
+  EXPECT_DOUBLE_EQ(capacity.knee_p99_us, 250);
+  EXPECT_DOUBLE_EQ(capacity.max_load_under_slo_qps, 3e5);
+}
+
+TEST(ServingCapacity, BestP99ComesFromServedPointsOnly) {
+  // The unserved point's low p99 must not tighten the knee baseline.
+  const std::vector<LoadPointSummary> curve{{1e6, 0.5e6, 10},
+                                            {2e5, 2e5, 200},
+                                            {4e5, 4e5, 500}};
+  const auto capacity = find_serving_capacity(curve, 3.0, 5000);
+  EXPECT_DOUBLE_EQ(capacity.knee_offered_qps, 4e5);
+  EXPECT_DOUBLE_EQ(capacity.max_load_under_slo_qps, 4e5);
+}
+
+TEST(ServingCapacity, NoPointQualifies) {
+  const std::vector<LoadPointSummary> curve{
+      {1e6, 0.5e6, 100},
+      {2e6, 1.0e6, 200},
+      {3e6, 3e6, std::numeric_limits<double>::infinity()}};
+  const auto capacity = find_serving_capacity(curve, 3.0, 5000);
+  EXPECT_EQ(capacity.knee_offered_qps, 0);
+  EXPECT_EQ(capacity.knee_p99_us, 0);
+  EXPECT_EQ(capacity.max_load_under_slo_qps, 0);
+  EXPECT_EQ(find_serving_capacity({}, 3.0, 5000).knee_offered_qps, 0);
 }
 
 TEST(ServingDeath, ClosedLoopSpecHasNoServingConfig) {
