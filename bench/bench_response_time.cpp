@@ -20,8 +20,10 @@
 //        queueing delay takes over and the curve goes vertical);
 //      - MAX LOAD UNDER SLO: the highest offered load whose p99 meets
 //        the --slo-us budget — the number a capacity planner wants.
-//    Only points the backend kept up with (achieved >= 95 % of offered)
-//    count toward either (workload::find_serving_capacity).
+//    Only points the backend kept up with (served >= 95 % of offered)
+//    count toward either (workload::find_serving_capacity). The served
+//    rate is taken over the completion span, so the drain of the last
+//    in-flight rounds does not count against a point that kept up.
 //
 // The binary exits non-zero if any backend produces a non-finite p99 or
 // the knee finder fails to return a load point, so CI's bench-smoke can
@@ -45,9 +47,9 @@ using namespace dici;
 namespace {
 
 struct LoadPoint {
-  double offered_qps = 0;
+  workload::LoadPointSummary load;  // offered, served, caller p99
   double achieved_qps = 0;
-  double p50_us = 0, p99_us = 0, p999_us = 0;          // caller-observed
+  double p50_us = 0, p999_us = 0;                      // caller-observed
   double engine_p50_us = 0, engine_p99_us = 0, engine_p999_us = 0;
   std::uint64_t batches = 0;
   std::uint64_t deadline_flushes = 0;
@@ -57,6 +59,7 @@ struct BackendCurve {
   std::string backend;
   double peak_qps = 0;
   std::vector<LoadPoint> points;
+  std::vector<workload::LoadPointSummary> loads;  // points[i].load
   workload::ServingCapacity capacity;  // knee 0 = knee finder failed
 };
 
@@ -179,10 +182,10 @@ int main(int argc, char** argv) {
       const auto run = workload::run_open_loop(*client, w.queries, serving);
 
       LoadPoint p;
-      p.offered_qps = run.offered_qps;
+      p.load = {run.offered_qps, run.served_qps,
+                run.observed_latency_ns.percentile(99) / 1e3};
       p.achieved_qps = run.achieved_qps;
       p.p50_us = run.observed_latency_ns.percentile(50) / 1e3;
-      p.p99_us = run.observed_latency_ns.percentile(99) / 1e3;
       p.p999_us = run.observed_latency_ns.percentile(99.9) / 1e3;
       p.engine_p50_us = run.engine_total.latency_ns.percentile(50) / 1e3;
       p.engine_p99_us = run.engine_total.latency_ns.percentile(99) / 1e3;
@@ -190,25 +193,24 @@ int main(int argc, char** argv) {
       p.batches = run.batches;
       p.deadline_flushes = run.deadline_flushes;
       curve.points.push_back(p);
+      curve.loads.push_back(p.load);
     }
-
-    std::vector<workload::LoadPointSummary> summary;
-    for (const auto& p : curve.points)
-      summary.push_back({p.offered_qps, p.achieved_qps, p.p99_us});
     curve.capacity =
-        workload::find_serving_capacity(summary, knee_factor, slo_us);
+        workload::find_serving_capacity(curve.loads, knee_factor, slo_us);
     curves.push_back(std::move(curve));
   }
 
   for (const auto& curve : curves) {
     std::printf("backend %s — closed-loop peak %.2f Mqps\n",
                 curve.backend.c_str(), curve.peak_qps / 1e6);
-    TextTable t({"offered Mqps", "achieved Mqps", "p50 us", "p99 us",
-                 "p999 us", "engine p99 us", "batches", "deadline"});
+    TextTable t({"offered Mqps", "achieved Mqps", "served Mqps", "p50 us",
+                 "p99 us", "p999 us", "engine p99 us", "batches",
+                 "deadline"});
     for (const auto& p : curve.points)
-      t.add_row({format_double(p.offered_qps / 1e6, 2),
+      t.add_row({format_double(p.load.offered_qps / 1e6, 2),
                  format_double(p.achieved_qps / 1e6, 2),
-                 format_double(p.p50_us, 1), format_double(p.p99_us, 1),
+                 format_double(p.load.served_qps / 1e6, 2),
+                 format_double(p.p50_us, 1), format_double(p.load.p99_us, 1),
                  format_double(p.p999_us, 1),
                  format_double(p.engine_p99_us, 1), std::to_string(p.batches),
                  std::to_string(p.deadline_flushes)});
@@ -253,11 +255,13 @@ int main(int argc, char** argv) {
         std::snprintf(
             buf, sizeof(buf),
             "      {\"offered_qps\": %.9g, \"achieved_qps\": %.9g, "
+            "\"served_qps\": %.9g, "
             "\"p50_us\": %.9g, \"p99_us\": %.9g, \"p999_us\": %.9g, "
             "\"engine_p50_us\": %.9g, \"engine_p99_us\": %.9g, "
             "\"engine_p999_us\": %.9g, \"batches\": %llu, "
             "\"deadline_flushes\": %llu}%s\n",
-            p.offered_qps, p.achieved_qps, p.p50_us, p.p99_us, p.p999_us,
+            p.load.offered_qps, p.achieved_qps, p.load.served_qps, p.p50_us,
+            p.load.p99_us, p.p999_us,
             p.engine_p50_us, p.engine_p99_us, p.engine_p999_us,
             static_cast<unsigned long long>(p.batches),
             static_cast<unsigned long long>(p.deadline_flushes),
@@ -283,10 +287,10 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const auto& curve : curves) {
     for (const auto& p : curve.points)
-      if (!std::isfinite(p.p99_us) || !std::isfinite(p.p999_us)) {
+      if (!std::isfinite(p.load.p99_us) || !std::isfinite(p.p999_us)) {
         std::fprintf(stderr, "GATE: %s has a non-finite p99/p999 at "
                      "offered %.3g qps\n",
-                     curve.backend.c_str(), p.offered_qps);
+                     curve.backend.c_str(), p.load.offered_qps);
         ++failures;
       }
     if (!(curve.capacity.knee_offered_qps > 0)) {

@@ -16,7 +16,7 @@ std::chrono::steady_clock::duration ChunkLedger::backoff_after(
 Chunk& ChunkLedger::add(std::uint32_t shard, net::Frame frame) {
   Chunk& c = chunks_.emplace_back();
   c.shard = shard;
-  c.frame = std::move(frame);
+  c.frame = std::make_shared<net::Frame>(std::move(frame));
   return c;
 }
 
@@ -34,7 +34,7 @@ void ChunkLedger::assign(Chunk& c, std::uint32_t target, TimePoint now,
 
 void ChunkLedger::retire(Chunk& c) {
   c.done = true;
-  c.frame = {};
+  c.frame.reset();
 }
 
 bool ChunkLedger::dispatch(Chunk& c, TimePoint now, const PickTarget& pick,

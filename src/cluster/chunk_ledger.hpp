@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 
 #include "src/net/wire.hpp"
 
@@ -27,7 +28,10 @@ namespace dici::cluster {
 inline constexpr std::uint32_t kNoNode = 0xffffffffu;
 
 struct Chunk {
-  net::Frame frame;           ///< encoded kQueryBatch, freed once done
+  /// The encoded kQueryBatch, dropped once done. Shared, because a send
+  /// staged under chunk_mu goes on the wire after the lock is released:
+  /// once sent, the frame is read-only to everyone.
+  std::shared_ptr<net::Frame> frame;
   std::uint32_t shard = 0;    ///< kGlobalShard under kReplicate
   std::uint32_t node = 0;     ///< current assignment
   std::uint32_t attempts = 0; ///< sends on the current assignment
@@ -51,8 +55,9 @@ class ChunkLedger {
   /// (kNoNode: no preference); kNoNode when no live holder exists.
   using PickTarget =
       std::function<std::uint32_t(std::uint32_t shard, std::uint32_t exclude)>;
-  /// Put `chunk.frame` on the wire to `chunk.node`. Fire-and-forget: a
-  /// lost send is covered by sweep() or fail_node().
+  /// Send `chunk.frame` to `chunk.node` (the coordinator stages it and
+  /// sends once chunk_mu is released). Fire-and-forget: a lost send is
+  /// covered by sweep() or fail_node().
   using SendChunk = std::function<void(Chunk& chunk)>;
 
   explicit ChunkLedger(const RetryPolicy& policy) : policy_(policy) {}
@@ -98,7 +103,7 @@ class ChunkLedger {
   /// a failover hop.
   void assign(Chunk& c, std::uint32_t target, TimePoint now,
               const SendChunk& send);
-  static void retire(Chunk& c);  ///< done; the retained frame is freed
+  static void retire(Chunk& c);  ///< done; the retained frame is dropped
 
   RetryPolicy policy_;
   std::deque<Chunk> chunks_;  ///< deque: stable addresses, indexed by id

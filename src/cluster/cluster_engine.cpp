@@ -153,10 +153,14 @@ struct NodeTally {
 /// written off by the failure path when no replica survives — so the
 /// countdown is immune to duplicated, delayed, and re-sent frames.
 ///
-/// Locking: chunk_mu guards the chunk ledger and the per-node tallies
-/// (every send — submitter, sweeper, failover — happens under it, as
-/// does every reply claim). Lock order: chunk_mu -> link tx (innermost);
-/// subs_mu_ is only ever taken with chunk_mu RELEASED.
+/// Locking: chunk_mu guards the chunk ledger and the per-node tallies.
+/// Every send (submitter, sweeper, failover) is DECIDED under it and
+/// staged, then put on the wire after it is released, and every reply
+/// claim happens under it. So no thread ever blocks in a send holding
+/// chunk_mu: a receiver waiting for chunk_mu to claim a reply cannot
+/// stall behind a send to a node that is itself stalled writing
+/// replies. chunk_mu and a link's tx are never held together; subs_mu_
+/// is only ever taken with chunk_mu RELEASED.
 struct ClusterSubmission {
   ClusterSubmission(std::uint64_t id_, const ClusterConfig& config)
       : id(id_), track_latency(config.track_latency),
@@ -645,28 +649,60 @@ class ClusterIndex : public Index {
     return owner == exclude ? kNoNode : owner;
   }
 
-  /// Send `c` to its assigned node (chunk_mu held). A skipped or failed
-  /// send leaves the chunk unanswered — the sweeper or the failure path
-  /// covers it — so this can afford to be fire-and-forget.
-  void send_chunk(ClusterSubmission& sub, Chunk& c) const {
-    Link& link = *links_[c.node];
-    c.frame.header.epoch = link.epoch.load(std::memory_order_acquire);
-    const std::uint64_t frame_bytes =
-        net::kFrameHeaderBytes + c.frame.payload.size();
-    std::lock_guard lock(link.tx);
-    if (link.dead.load(std::memory_order_acquire)) return;  // fail_node re-routes
-    if (link.endpoint->send(
-            c.frame, std::chrono::milliseconds(config_.heartbeat_timeout_ms)) !=
-        net::Endpoint::SendResult::kOk)
-      return;
-    NodeTally& tally = sub.nodes[c.node];
-    tally.sent += 1;
-    tally.sent_bytes += frame_bytes;
+  /// A chunk send decided under chunk_mu, for send_staged() to put on
+  /// the wire once the lock is released.
+  struct StagedSend {
+    std::uint32_t node = 0;
+    std::shared_ptr<const net::Frame> frame;
+    bool sent = false;
+  };
+
+  /// The ledger's send callable (chunk_mu held): stamp `c`'s frame with
+  /// its node's link epoch and stage it in `outbox`. A frame still at
+  /// epoch 0 was never staged (link epochs start at 1), so nobody else
+  /// holds it and it is stamped in place; a staged one may still be
+  /// read by an earlier send, so a new epoch goes on a copy.
+  ChunkLedger::SendChunk stager(std::vector<StagedSend>& outbox) const {
+    return [this, &outbox](Chunk& c) {
+      const std::uint32_t epoch =
+          links_[c.node]->epoch.load(std::memory_order_acquire);
+      if (c.frame->header.epoch != epoch) {
+        if (c.frame->header.epoch != 0)
+          c.frame = std::make_shared<net::Frame>(*c.frame);
+        c.frame->header.epoch = epoch;
+      }
+      outbox.push_back({c.node, c.frame});
+    };
   }
 
-  /// The ledger's send callable for `sub`.
-  ChunkLedger::SendChunk sender(ClusterSubmission& sub) const {
-    return [this, &sub](Chunk& c) { send_chunk(sub, c); };
+  /// Send what `outbox` staged (chunk_mu released), then tally what left
+  /// under chunk_mu. A skipped or failed send leaves its chunk unanswered
+  /// (the sweeper or the failure path covers it), so sends can afford to
+  /// be fire-and-forget. The caller holds a countdown hold on `sub`, so
+  /// the tallies are in before the waiter reads them.
+  void send_staged(ClusterSubmission& sub,
+                   std::vector<StagedSend>& outbox) const {
+    if (outbox.empty()) return;
+    const auto patience =
+        std::chrono::milliseconds(config_.heartbeat_timeout_ms);
+    for (StagedSend& staged : outbox) {
+      Link& link = *links_[staged.node];
+      std::lock_guard lock(link.tx);
+      if (link.dead.load(std::memory_order_acquire)) continue;  // fail_node re-routes
+      staged.sent = link.endpoint->send(*staged.frame, patience) ==
+                    net::Endpoint::SendResult::kOk;
+    }
+    {
+      std::lock_guard lock(sub.chunk_mu);
+      for (const StagedSend& staged : outbox) {
+        if (!staged.sent) continue;
+        NodeTally& tally = sub.nodes[staged.node];
+        tally.sent += 1;
+        tally.sent_bytes +=
+            net::kFrameHeaderBytes + staged.frame->payload.size();
+      }
+    }
+    outbox.clear();
   }
 
   /// Drop `k` from `sub`'s countdown; the call that completes it also
@@ -691,6 +727,10 @@ class ClusterIndex : public Index {
   /// (failover off / no surviving replica) its unanswered chunks in
   /// every in-flight submission. Runs on node i's receiver thread.
   void fail_node(std::uint32_t i) const {
+    // Close first: a sender part-way through a frame to this node waits
+    // for the rest to go out while holding tx, and only the close ends
+    // that wait. Its chunk stays assigned here and is re-routed below.
+    links_[i]->endpoint->close();
     {
       // tx-mutex handshake with senders: after this block, any sender
       // that did not already put its frame on the wire will observe
@@ -703,17 +743,23 @@ class ClusterIndex : public Index {
       std::lock_guard lock(membership_mu_);
       membership_.transition(i, NodeStatus::kDead);
     }
-    links_[i]->endpoint->close();
+    std::vector<StagedSend> outbox;
     for (const auto& sub : pending_snapshot()) {
       std::uint64_t written_off = 0;
+      std::uint64_t hold = 0;
       {
         std::lock_guard lock(sub->chunk_mu);
         written_off =
-            sub->ledger.fail_node(i, Clock::now(), pick_, sender(*sub));
+            sub->ledger.fail_node(i, Clock::now(), pick_, stager(outbox));
+        // A re-routed chunk is unfinished, so the countdown is above
+        // zero here: holding it keeps the tallies ahead of the waiter.
+        hold = outbox.empty() ? 0 : 1;
+        sub->outstanding.fetch_add(hold, std::memory_order_relaxed);
       }
+      send_staged(*sub, outbox);
       // Recorded before the countdown drops, so the waiter sees it.
       if (written_off != 0) sub->record_failure(i);
-      finish(*sub, written_off);
+      finish(*sub, written_off + hold);
     }
   }
 
@@ -815,12 +861,21 @@ class ClusterIndex : public Index {
     const auto tick = std::clamp<Clock::duration>(
         backoff / 2, std::chrono::microseconds(500),
         std::chrono::milliseconds(10));
+    std::vector<StagedSend> outbox;
     while (!stop_.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(tick);
       if (stop_.load(std::memory_order_acquire)) return;
       for (const auto& sub : pending_snapshot()) {
-        std::lock_guard lock(sub->chunk_mu);
-        sub->ledger.sweep(Clock::now(), pick_, sender(*sub));
+        std::uint64_t hold = 0;
+        {
+          std::lock_guard lock(sub->chunk_mu);
+          sub->ledger.sweep(Clock::now(), pick_, stager(outbox));
+          // Same hold as fail_node's: a staged chunk is unfinished.
+          hold = outbox.empty() ? 0 : 1;
+          sub->outstanding.fetch_add(hold, std::memory_order_relaxed);
+        }
+        send_staged(*sub, outbox);
+        finish(*sub, hold);
       }
     }
   }
@@ -1040,7 +1095,11 @@ std::unique_ptr<Client::Completion> ClusterIndex::submit_batch(
   const bool replicate = config_.placement == index::Placement::kReplicate;
   const std::uint32_t lanes = replicate ? N : partitioner_.parts();
   std::uint64_t round_robin = 0;
-  const ChunkLedger::SendChunk send = sender(*sub);
+  std::vector<StagedSend> outbox;
+  const ChunkLedger::SendChunk send = stager(outbox);
+  // Only this thread adds chunks to `sub`, so chunk ids are this count
+  // and each frame is encoded before chunk_mu is taken.
+  std::uint32_t next_chunk = 0;
 
   sub->timer.start();
   WallTimer dispatch_timer;
@@ -1060,18 +1119,23 @@ std::unique_ptr<Client::Completion> ClusterIndex::submit_batch(
         msg.shard = replicate ? net::kGlobalShard : lane;
         msg.keys = std::move(batch.keys);
         msg.ids = std::move(batch.ids);
-        std::lock_guard lock(sub->chunk_mu);
-        msg.chunk = static_cast<std::uint32_t>(sub->ledger.size());
-        Chunk& c = sub->ledger.add(
-            msg.shard, net::encode_query_batch(net::kCoordinatorId, msg));
-        // Hold taken BEFORE the send so the countdown can never hit
-        // zero while chunks are still being created; the submitter's
-        // own hold keeps a failed first chunk from completing early.
-        sub->outstanding.fetch_add(1, std::memory_order_relaxed);
-        if (sub->ledger.dispatch(c, Clock::now(), pick_, send)) return;
-        // No live holder for this shard: submitting into a grave.
-        sub->record_failure(replicate ? 0 : node_of_shard(c.shard));
-        sub->finish(1);  // cannot complete: the submitter's hold is out
+        msg.chunk = next_chunk++;
+        net::Frame frame = net::encode_query_batch(net::kCoordinatorId, msg);
+        {
+          std::lock_guard lock(sub->chunk_mu);
+          Chunk& c = sub->ledger.add(msg.shard, std::move(frame));
+          // Hold taken BEFORE the send so the countdown can never hit
+          // zero while chunks are still being created; the submitter's
+          // own hold keeps a failed first chunk from completing early.
+          sub->outstanding.fetch_add(1, std::memory_order_relaxed);
+          if (!sub->ledger.dispatch(c, Clock::now(), pick_, send)) {
+            // No live holder for this shard: submitting into a grave.
+            sub->record_failure(replicate ? 0 : node_of_shard(c.shard));
+            sub->finish(1);  // cannot complete: the submitter's hold is out
+          }
+        }
+        // The submitter's own hold keeps the tallies ahead of the waiter.
+        send_staged(*sub, outbox);
       });
   sub->dispatch_sec = dispatch_timer.elapsed_sec();
   // Release the submitter's hold; completes immediately on zero work

@@ -19,6 +19,10 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// How long a send that has written part of a frame waits without
+/// progress before it closes the link.
+constexpr std::chrono::seconds kCommittedStall{10};
+
 std::string checksum_error(const FrameHeader& header) {
   return std::string("transport: payload checksum mismatch on ") +
          msg_type_name(header.msg_type()) + " seq " +
@@ -99,20 +103,33 @@ Endpoint::SendResult FdEndpoint::send(const Frame& frame,
                 frame.payload.size());
   }
 
-  const auto deadline = Clock::now() + timeout;
+  // A frame that has started going out must finish: part of a frame
+  // cannot be taken back, and the peer would read the next frame's
+  // bytes as the rest of this one. So `timeout` bounds the wait before
+  // the first byte; after it, the send waits as long as the peer keeps
+  // taking bytes, and only a stall of kCommittedStall closes the link
+  // rather than leave it torn. close() from another thread (a failure
+  // detector giving up on the peer) ends the wait at once.
+  auto deadline = Clock::now() + timeout;
   std::size_t sent = 0;
   while (sent < bytes.size()) {
     if (closed_.load(std::memory_order_acquire)) return SendResult::kClosed;
     const ssize_t n = send_some(fd_, bytes.data() + sent, bytes.size() - sent);
     if (n > 0) {
       sent += static_cast<std::size_t>(n);
+      deadline = Clock::now() + std::max<std::chrono::nanoseconds>(
+                                    timeout, kCommittedStall);
       continue;
     }
     if (n < 0 && (errno == EPIPE || errno == ECONNRESET || errno == EBADF))
       return SendResult::kClosed;
     if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK)
       return SendResult::kClosed;
-    if (!poll_fd_until(fd_, POLLOUT, deadline)) return SendResult::kTimeout;
+    if (!poll_fd_until(fd_, POLLOUT, deadline)) {
+      if (sent == 0) return SendResult::kTimeout;
+      close();
+      return SendResult::kClosed;
+    }
   }
   stats_messages_.fetch_add(1, std::memory_order_relaxed);
   stats_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);

@@ -10,8 +10,12 @@
 // MSG_NOSIGNAL (a dead peer is EPIPE → kClosed, never SIGPIPE),
 // reassembles partial frames in a buffer, and verifies the payload
 // checksum per frame (kCorrupt drops one frame, the stream stays
-// framed). The fd is owned: closed in the destructor, shutdown() on
-// close() so blocked poll()s on either end return promptly.
+// framed). A send's timeout bounds the wait before the frame's first
+// byte; once part of a frame is out, the send finishes it (or a long
+// stall, or close() from another thread, closes the link), since a
+// timed-out half frame would tear the stream. The fd is owned: closed
+// in the destructor, shutdown() on close() so blocked poll()s on either
+// end return promptly.
 //
 // The EINTR discipline (the kSocket audit): every ::send/::recv retries
 // EINTR immediately instead of falling through to poll, and

@@ -86,8 +86,13 @@ class Endpoint {
 
   /// Serialize and enqueue/write one frame. Stamps the endpoint's
   /// monotonic sequence number into the header (the caller's seq is
-  /// overwritten). kTimeout after `timeout` of sustained backpressure;
-  /// kClosed once either side closed the link. Never blocks forever.
+  /// overwritten). kTimeout after `timeout` of sustained backpressure
+  /// with none of the frame sent; kClosed once either side closed the
+  /// link. A byte-stream link that has sent part of a frame finishes
+  /// it rather than leave a torn frame for the peer to misread: it
+  /// waits past `timeout` while the peer keeps taking bytes, and closes
+  /// itself (kClosed) after a long stall or when close() is called from
+  /// another thread. Never blocks forever.
   virtual SendResult send(const Frame& frame,
                           std::chrono::nanoseconds timeout) = 0;
 

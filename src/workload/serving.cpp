@@ -72,13 +72,19 @@ ServingResult run_open_loop(core::Client& client,
   // copy ranks home. The first report seeds engine_total (a default
   // RunReport carries the default method; merge would reject it).
   std::uint64_t retired = 0;
+  double first_done_ns = 0, last_done_ns = 0;
+  std::size_t first_round_queries = 0;
   const auto retire = [&](InFlightRound& round) {
     core::RunReport report = client.wait(round.ticket);
-    if (retired++ == 0)
-      result.engine_total = std::move(report);
-    else
-      result.engine_total.merge(report);
     const double done_ns = epoch.elapsed_ns();
+    if (retired++ == 0) {
+      result.engine_total = std::move(report);
+      first_done_ns = done_ns;
+      first_round_queries = round.arrivals_ns.size();
+    } else {
+      result.engine_total.merge(report);
+    }
+    last_done_ns = done_ns;
     for (const double arrival : round.arrivals_ns)
       result.observed_latency_ns.add(done_ns - arrival);
     if (round.ranks) {
@@ -159,6 +165,11 @@ ServingResult run_open_loop(core::Client& client,
       result.wall_seconds > 0
           ? static_cast<double>(result.num_queries) / result.wall_seconds
           : 0;
+  result.served_qps =
+      last_done_ns > first_done_ns
+          ? static_cast<double>(result.num_queries - first_round_queries) /
+                ((last_done_ns - first_done_ns) / 1e9)
+          : result.achieved_qps;
   return result;
 }
 
@@ -167,7 +178,7 @@ ServingCapacity find_serving_capacity(
     double slo_us) {
   const auto served = [](const LoadPointSummary& p) {
     return std::isfinite(p.p99_us) &&
-           p.achieved_qps >= kServedFraction * p.offered_qps;
+           p.served_qps >= kServedFraction * p.offered_qps;
   };
   double best_p99 = std::numeric_limits<double>::infinity();
   for (const auto& p : points)

@@ -58,6 +58,13 @@ struct ServingConfig {
 struct ServingResult {
   double offered_qps = 0;   ///< the schedule's long-run target rate
   double achieved_qps = 0;  ///< queries / wall_seconds actually sustained
+  /// The rate the engine answered at: queries completed after the first
+  /// round, over the first-to-last completion span. Unlike achieved_qps
+  /// it leaves out the drain of the last in-flight rounds after the
+  /// final arrival (a point that kept up reads its offered rate however
+  /// short the run), while a backlog still stretches the span. Equals
+  /// achieved_qps when fewer than two rounds completed apart.
+  double served_qps = 0;
   double wall_seconds = 0;  ///< first arrival to last completion
   std::uint64_t num_queries = 0;
   std::uint64_t batches = 0;          ///< dispatch rounds submitted
@@ -86,7 +93,7 @@ ServingResult run_open_loop(core::Client& client,
 /// One measured point of a latency-vs-offered-load curve.
 struct LoadPointSummary {
   double offered_qps = 0;
-  double achieved_qps = 0;
+  double served_qps = 0;  ///< ServingResult::served_qps
   double p99_us = 0;
 };
 
@@ -106,7 +113,7 @@ struct ServingCapacity {
 inline constexpr double kServedFraction = 0.95;
 
 /// Knee and max load under SLO of one curve. Only points with a finite
-/// p99 and achieved_qps >= kServedFraction x offered_qps count, for the
+/// p99 and served_qps >= kServedFraction x offered_qps count, for the
 /// best-p99 baseline too. Pure: no clock, no engine.
 ServingCapacity find_serving_capacity(
     std::span<const LoadPointSummary> points, double knee_factor,

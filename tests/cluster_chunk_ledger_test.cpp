@@ -90,7 +90,7 @@ TEST(ChunkLedger, DispatchWithNoLiveHolderWritesTheChunkOff) {
   Chunk& c = ledger.add(0, frame());
   EXPECT_FALSE(ledger.dispatch(c, kT0, cluster.pick, cluster.send));
   EXPECT_TRUE(c.done);
-  EXPECT_TRUE(c.frame.payload.empty());
+  EXPECT_EQ(c.frame, nullptr);
   EXPECT_TRUE(cluster.sends.empty());
 }
 
@@ -181,7 +181,8 @@ TEST(ChunkLedger, SoleOwnerIsPolledAndNeverWrittenOffBySweep) {
     EXPECT_FALSE(c.done) << failover;
     EXPECT_EQ(c.node, 4u);
     EXPECT_EQ(c.hops, 0u);
-    EXPECT_FALSE(c.frame.payload.empty());  // still retained for re-send
+    ASSERT_NE(c.frame, nullptr);  // still retained for re-send
+    EXPECT_FALSE(c.frame->payload.empty());
     EXPECT_EQ(ledger.retries(), 20u);
     EXPECT_EQ(ledger.failovers(), 0u);
     // Past max_retries the poll interval sits at backoff_after(2).
@@ -236,7 +237,7 @@ TEST(ChunkLedger, FailNodeWritesOffWithFailoverOffOrNoOtherHolder) {
     EXPECT_EQ(cluster.picks, picks);  // failover off: nobody is asked
     for (std::size_t id = 0; id < 2; ++id) {
       EXPECT_TRUE(ledger.chunk(id).done);
-      EXPECT_TRUE(ledger.chunk(id).frame.payload.empty());
+      EXPECT_EQ(ledger.chunk(id).frame, nullptr);
     }
   }
   {
@@ -264,7 +265,7 @@ TEST(ChunkLedger, ClaimHappensExactlyOnce) {
     ledger.dispatch(ledger.add(0, frame()), kT0, cluster.pick, cluster.send);
 
   EXPECT_TRUE(ledger.claim(0));
-  EXPECT_TRUE(ledger.chunk(0).frame.payload.empty());  // copy freed
+  EXPECT_EQ(ledger.chunk(0).frame, nullptr);  // copy dropped
   EXPECT_FALSE(ledger.claim(0));  // duplicate reply
   EXPECT_FALSE(ledger.claim(2));  // out of range
   EXPECT_FALSE(ledger.claim(~std::uint64_t{0}));

@@ -3,9 +3,14 @@
 
 Compiles tests/codegen/branchless_probe.cpp to assembly at -O2 and at
 -O3 and fails if, inside either probe function (or a function it calls
-that the same file defines), a conditional jump consumes the flags of a
-cmp/test that reads memory: that is a branch on a loaded key, which a
-cache-resident search mispredicts about every other probe.
+that the same file defines), a conditional jump consumes flags computed
+from a loaded value: a cmp/test (or flag-setting arithmetic) that reads
+memory, or reads a register that holds a value loaded from memory or
+computed from one (`mov (mem), %r; cmp %r, %q; jb`). That is a branch
+on a loaded key, which a cache-resident search mispredicts about every
+other probe. Register taint is followed in program order through each
+function body, and through stack spills and their reloads; a call
+clears the caller-saved registers.
 
   check_branchless.py <c++ compiler> <repository root>
 
@@ -27,8 +32,29 @@ OPT_LEVELS = ("-O2", "-O3")
 # still decides a conditional jump after them.
 FLAG_NEUTRAL = re.compile(
     r"^(mov|lea|push|pop|nop|prefetch|set|cmov|xchg|bswap|not|vmov|vpbroadcast)")
+# Instructions that only compare: they set flags and write no register.
+COMPARE = re.compile(r"^(cmp|test|bt[a-z]?$|v?u?comis|v?ptest)")
+# Instructions whose last operand is written without being read.
+WRITE_ONLY = re.compile(
+    r"^(mov|lea|set|cvt|vmov|vbroadcast|vpbroadcast|v?p?movmsk|v?pmov[sz]x"
+    r"|bsf|bsr|lzcnt|tzcnt|popcnt|pop)")
+# Same-register forms of these zero their destination.
+ZERO_IDIOM = re.compile(r"^(xor|sub|v?pxor|v?xorp[sd]|v?psub)")
+NO_DESTINATION = re.compile(r"^(push|call|jmp|ret|nop|prefetch)")
 COND_JUMP = re.compile(r"^j(?!mp)[a-z]+$")
 CALL_OR_TAIL = re.compile(r"^(call|jmp)[a-z]*$")
+
+LEGACY_REGS = {
+    name: "r" + base
+    for base in ("ax", "bx", "cx", "dx")
+    for name in (base[0] + "l", base[0] + "h", base, "e" + base, "r" + base)
+}
+LEGACY_REGS.update({
+    name: "r" + base
+    for base in ("si", "di", "bp", "sp")
+    for name in (base + "l", base, "e" + base, "r" + base)
+})
+CALLER_SAVED = {"rax", "rcx", "rdx", "rsi", "rdi", "r8", "r9", "r10", "r11"}
 
 
 def target_is_x86_64_gnu(compiler):
@@ -60,22 +86,97 @@ def function_bodies(asm):
     return bodies
 
 
+def operands(line):
+    """The comma-separated operands of an AT&T instruction line."""
+    parts = line.split(None, 1)
+    if len(parts) < 2:
+        return []
+    ops, depth, current = [], 0, ""
+    for ch in parts[1]:
+        if ch == "," and depth == 0:
+            ops.append(current.strip())
+            current = ""
+            continue
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        current += ch
+    ops.append(current.strip())
+    return ops
+
+
+def register(op):
+    """Canonical name of a register operand (eax, ax, al -> rax), else None."""
+    if not op.startswith("%"):
+        return None
+    name = op[1:]
+    numbered = re.match(r"^(r\d+)[dwb]?$", name)
+    if numbered:
+        return numbered.group(1)
+    vector = re.match(r"^[xyz]mm(\d+)$", name)
+    if vector:
+        return "v" + vector.group(1)
+    return LEGACY_REGS.get(name, name)
+
+
+def stack_slot(op):
+    """`op` if it is a plain stack slot (a spill), else None."""
+    return op if re.match(r"^-?\d*\(%(rsp|rbp)\)$", op) else None
+
+
 def key_branches(body):
-    """Conditional jumps that test a cmp/test with a memory operand."""
+    """Conditional jumps whose flags come from a loaded value."""
     found = []
-    last_compare = None
+    tainted = set()      # registers holding a loaded (or derived) value
+    tainted_slots = set()  # stack slots a tainted register was spilled to
+    flags_from = None    # the flag-setting line, if its inputs were loaded
     for line in body:
         if line.endswith(":"):  # a jump target: flags may come from elsewhere
-            last_compare = None
+            flags_from = None
             continue
         mnemonic = line.split()[0]
-        if mnemonic.startswith(("cmp", "test")):
-            last_compare = line if "(" in line else None
-        elif COND_JUMP.match(mnemonic):
-            if last_compare is not None:
-                found.append(f"{last_compare}  ->  {line}")
-        elif not FLAG_NEUTRAL.match(mnemonic):
-            last_compare = None
+        if COND_JUMP.match(mnemonic):
+            if flags_from is not None:
+                found.append(f"{flags_from}  ->  {line}")
+            continue
+        if mnemonic.startswith("call"):
+            tainted -= CALLER_SAVED
+            flags_from = None
+            continue
+        ops = operands(line)
+        lea = mnemonic.startswith("lea")
+
+        def derived_from_load(op):
+            if op in tainted_slots:
+                return True
+            if "(" in op and not stack_slot(op):
+                # A load from data memory; lea only computes an address.
+                return not lea or any(register(reg) in tainted
+                                      for reg in re.findall(r"%\w+", op))
+            return register(op) in tainted
+
+        compare = COMPARE.match(mnemonic)
+        write_only = WRITE_ONLY.match(mnemonic)
+        if compare:
+            sources = ops
+        elif len(ops) == 1:
+            sources = [] if write_only else ops
+        else:
+            sources = ops[:-1] if write_only else ops
+        derived = any(derived_from_load(op) for op in sources)
+        if compare:
+            flags_from = line if derived else None
+            continue
+        if (ZERO_IDIOM.match(mnemonic) and len(ops) >= 2 and
+                register(ops[0]) is not None and
+                register(ops[0]) == register(ops[-1])):
+            derived = False
+        if ops and not NO_DESTINATION.match(mnemonic):
+            dest = ops[-1]
+            for written, name in ((tainted, register(dest)),
+                                  (tainted_slots, stack_slot(dest))):
+                if name is not None:
+                    (written.add if derived else written.discard)(name)
+        if not FLAG_NEUTRAL.match(mnemonic):
+            flags_from = line if derived else None
     return found
 
 

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/net/fd_endpoint.hpp"
 #include "src/net/transport.hpp"
 
 namespace dici::net {
@@ -642,6 +643,78 @@ TEST(Transport, RingBackpressureTimesOutWhenReceiverStalls) {
   for (int i = 0; i < 8 && result == Endpoint::SendResult::kOk; ++i)
     result = coordinator->send(test_frame(i), 20ms);
   EXPECT_EQ(result, Endpoint::SendResult::kTimeout);
+}
+
+/// A frame several socket buffers long.
+Frame big_frame() {
+  QueryBatchMsg msg;
+  msg.submission = 42;
+  for (std::uint32_t j = 0; j < (1u << 18); ++j) {
+    msg.keys.push_back(static_cast<key_t>(j));
+    msg.ids.push_back(j);
+  }
+  return encode_query_batch(kCoordinatorId, msg);
+}
+
+TEST(Transport, SocketSendThatStallsMidFrameWaitsForClose) {
+  // Nobody reads, so the frame stalls part-way. Giving up at the 20 ms
+  // timeout would leave half a frame on the stream for the next send to
+  // follow; the send waits instead, until close() from another thread
+  // (a failure detector's verdict) ends it, and the peer then sees a
+  // close, never a garbled frame.
+  auto [coordinator, node] = make_transport_pair(TransportKind::kSocket);
+  const auto start = std::chrono::steady_clock::now();
+  std::thread detector([endpoint = coordinator.get()] {
+    std::this_thread::sleep_for(200ms);
+    endpoint->close();
+  });
+  EXPECT_EQ(coordinator->send(big_frame(), 20ms),
+            Endpoint::SendResult::kClosed);
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 200ms);
+  detector.join();
+  Frame frame;
+  std::string error;
+  EXPECT_EQ(node->recv(&frame, 1s, &error), Endpoint::RecvResult::kClosed)
+      << error;
+}
+
+TEST(Transport, SocketSendToASlowReaderCompletesTheFrame) {
+  // The reader takes 64 KiB every 3 ms, so the frame needs ~100 ms to
+  // cross, five times the send timeout, while no single stall comes
+  // near it. The timeout bounds a stall, not the whole frame: the send
+  // completes and the bytes on the wire are exactly one intact frame.
+  int fds[2];
+  cloexec_socketpair(fds);
+  FdEndpoint sender(fds[0]);
+  QueryBatchMsg msg;
+  msg.submission = 42;
+  for (std::uint32_t j = 0; j < (1u << 18); ++j) {
+    msg.keys.push_back(static_cast<key_t>(j));
+    msg.ids.push_back(j);
+  }
+  const Frame frame = encode_query_batch(kCoordinatorId, msg);
+  const std::size_t frame_bytes = kFrameHeaderBytes + frame.payload.size();
+  std::vector<std::uint8_t> wire;
+  std::thread reader([&] {
+    std::vector<std::uint8_t> chunk(64 << 10);
+    for (int i = 0; i < 1000 && wire.size() < frame_bytes; ++i) {
+      std::this_thread::sleep_for(3ms);
+      const ssize_t n = recv_some(fds[1], chunk.data(), chunk.size());
+      if (n == 0) return;  // closed: the frame was cut short
+      if (n > 0) wire.insert(wire.end(), chunk.begin(), chunk.begin() + n);
+    }
+  });
+  EXPECT_EQ(sender.send(frame, 20ms), Endpoint::SendResult::kOk);
+  reader.join();
+  ::close(fds[1]);
+  Frame got;
+  std::string error;
+  ASSERT_TRUE(decode_frame(wire, &got, &error)) << error;
+  EXPECT_TRUE(frame_checksum_ok(got));
+  QueryBatchMsg decoded;
+  ASSERT_TRUE(decode_query_batch(got, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.submission, 42u);
+  EXPECT_EQ(decoded.keys, msg.keys);
 }
 
 TEST(Transport, RacedBidirectionalTrafficStaysOrderedAndIntact) {
